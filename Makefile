@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short test-race vet lint fmt-check bench-lp bench-online bench-milp bench-price bench-serve bench ci
+.PHONY: all build test test-short test-race test-perfbench vet lint fmt-check bench-lp bench-online bench-milp bench-price bench-serve bench ci
 
 all: build
 
@@ -15,6 +15,12 @@ test-short:
 
 test-race:
 	$(GO) test -race -short ./...
+
+# test-perfbench vets and tests the benchmark's own module (perfbench/ has a
+# go.mod of its own, so the root ./... patterns do not reach it).
+test-perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 vet:
 	$(GO) vet ./...
@@ -51,8 +57,7 @@ bench-milp:
 
 # bench-price regenerates BENCH_price.json, the price-discovery engine's
 # quality-vs-latency trajectory (price vs warm LP POP vs the global solve on
-# cluster and lb online rounds, plus price-only scale rows up to 1M clients
-# and the price-seeded hybrid LP).
+# cluster and lb online rounds, plus price-only scale rows up to 1M clients).
 bench-price:
 	$(GO) run ./cmd/pricebench -reps 3 -o BENCH_price.json
 
@@ -66,4 +71,4 @@ bench-serve:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-ci: fmt-check vet build test-short
+ci: fmt-check vet build test-short test-perfbench

@@ -150,7 +150,8 @@ func main() {
 			os.Exit(2)
 		}
 		defer dln.Close()
-		go func() { _ = http.Serve(dln, debugHandler(srv)) }()
+		dsrv := &http.Server{Handler: debugHandler(srv), ReadHeaderTimeout: shard.ReadHeaderTimeout}
+		go func() { _ = dsrv.Serve(dln) }()
 		logger.Info("debug listener up", "addr", dln.Addr().String())
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -230,7 +231,7 @@ func workerMain(args []string) error {
 		"addr", ln.Addr().String(), "policy", strings.ToLower(*policyFl), "k", *k,
 		"kind", b.Kind, "round", w.LastRound())
 
-	hs := &http.Server{Handler: w.Handler()}
+	hs := &http.Server{Handler: w.Handler(), ReadHeaderTimeout: shard.ReadHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	select {
@@ -275,7 +276,7 @@ func debugHandler(s *server) http.Handler {
 func run(ctx context.Context, ln net.Listener, s *server, round time.Duration) error {
 	const shutdownGrace = 10 * time.Second
 
-	hs := &http.Server{Handler: s.handler()}
+	hs := &http.Server{Handler: s.handler(), ReadHeaderTimeout: shard.ReadHeaderTimeout}
 	tickerDone := make(chan struct{})
 	tickerCtx, stopTicker := context.WithCancel(ctx)
 	defer stopTicker()

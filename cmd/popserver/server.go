@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -43,20 +45,92 @@ type jobAlloc struct {
 	Stale  bool      `json:"stale,omitempty"`
 }
 
-// snapshot is the allocation as of the last completed round, plus the
-// engine counters frozen at that instant (so stats reads never have to
-// touch the engine while a round is solving).
+// snapshot is the allocation as of the last completed round — the engine's
+// columnar view, published as is — plus the engine counters frozen at that
+// instant (so stats reads never have to touch the engine while a round is
+// solving). The tagged fields head GET /v1/allocation's body.
 type snapshot struct {
-	Round       int                 `json:"round"`
-	ComputedAt  time.Time           `json:"computed_at"`
-	SolveTimeMs float64             `json:"solve_time_ms"`
-	NumJobs     int                 `json:"num_jobs"`
-	StaleJobs   int                 `json:"stale_jobs,omitempty"`
-	Jobs        map[string]jobAlloc `json:"jobs"`
+	Round       int       `json:"round"`
+	ComputedAt  time.Time `json:"computed_at"`
+	SolveTimeMs float64   `json:"solve_time_ms"`
+	NumJobs     int       `json:"num_jobs"`
+	StaleJobs   int       `json:"stale_jobs,omitempty"`
 
+	alloc      *cluster.Columns // nil until a round has jobs
 	engStats   online.Stats
 	priceStats price.Stats
 	shardStats []shard.WorkerStatus
+}
+
+// writeJSON streams the snapshot as GET /v1/allocation's body: the tagged
+// fields, then "jobs": {"<id>": row, ...} written straight from the
+// columns in ascending-ID order, each row shaped like jobAlloc's
+// encoding/json form.
+func (snap *snapshot) writeJSON(w io.Writer) error {
+	head, err := json.Marshal(snap)
+	if err != nil {
+		return err
+	}
+	b := append(head[:len(head)-1], `,"jobs":{`...)
+	if a := snap.alloc; a != nil {
+		for i, id := range a.IDs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, '"')
+			b = strconv.AppendInt(b, int64(id), 10)
+			b = append(b, `":{"id":`...)
+			b = strconv.AppendInt(b, int64(id), 10)
+			if x := a.Row(i); len(x) > 0 {
+				b = append(b, `,"x":[`...)
+				for k, v := range x {
+					if k > 0 {
+						b = append(b, ',')
+					}
+					b = appendFloat(b, v)
+				}
+				b = append(b, ']')
+			}
+			b = append(b, `,"effective_throughput":`...)
+			b = appendFloat(b, a.EffThr[i])
+			if a.Stale != nil && a.Stale[i] {
+				b = append(b, `,"stale":true`...)
+			}
+			b = append(b, '}')
+			if len(b) >= 32<<10 {
+				if _, err := w.Write(b); err != nil {
+					return err
+				}
+				b = b[:0]
+			}
+		}
+	}
+	b = append(b, "}}\n"...)
+	_, err = w.Write(b)
+	return err
+}
+
+// appendFloat formats v the way encoding/json does: the shortest
+// round-tripping decimal, in exponent form only below 1e-6 or from 1e21
+// up, with a one-digit exponent where it fits. A non-finite v, which
+// encoding/json refuses to encode, is written as null.
+func appendFloat(b []byte, v float64) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return append(b, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		// e-07 → e-7, as encoding/json writes it.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // mutation is one buffered state change (submit or remove).
@@ -143,7 +217,6 @@ func newServer(c cluster.Cluster, cfg serverConfig, logger *slog.Logger) (*serve
 	s := &server{
 		cfg:     cfg,
 		c:       c,
-		snap:    snapshot{Jobs: map[string]jobAlloc{}},
 		tenants: map[string]int{},
 		started: time.Now(),
 		reg:     reg,
@@ -204,7 +277,7 @@ func (s *server) restoreState() {
 	}
 	s.snap.Round = st.Round
 	s.round.Store(int64(st.Round))
-	s.log.Info("state restored", "file", s.cfg.stateFile, "round", st.Round, "jobs", len(s.eng.Jobs()))
+	s.log.Info("state restored", "file", s.cfg.stateFile, "round", st.Round, "jobs", s.eng.NumJobs())
 }
 
 // snapshotState marshals the engine state (caller holds engMu).
@@ -232,7 +305,7 @@ func (s *server) saveStateAsync(round int) {
 	}
 	go func() {
 		defer s.saving.Store(false)
-		if err := writeFileAtomic(s.cfg.stateFile, st); err != nil {
+		if err := shard.WriteFileAtomic(s.cfg.stateFile, st); err != nil {
 			s.log.Warn("state save failed", "err", err)
 		}
 	}()
@@ -250,32 +323,7 @@ func (s *server) saveState() error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(s.cfg.stateFile, st)
-}
-
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepathDir(path), ".state-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return os.Rename(name, path)
-}
-
-func filepathDir(path string) string {
-	if i := strings.LastIndexByte(path, os.PathSeparator); i > 0 {
-		return path[:i]
-	}
-	return "."
+	return shard.WriteFileAtomic(s.cfg.stateFile, st)
 }
 
 func (s *server) handler() http.Handler {
@@ -463,6 +511,9 @@ func (s *server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]any{"queued": true, "pending": n})
 }
 
+// maxClusterBytes caps a capacity update's body: one number per GPU type.
+const maxClusterBytes = 1 << 20
+
 // clusterSpec is the wire format of a resource-capacity update.
 type clusterSpec struct {
 	GPUs []float64 `json:"gpus"`
@@ -476,8 +527,13 @@ type clusterSpec struct {
 // length.
 func (s *server) handleSetCluster(w http.ResponseWriter, r *http.Request) {
 	var spec clusterSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad cluster spec: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxClusterBytes)).Decode(&spec); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, "bad cluster spec: %v", err)
 		return
 	}
 	// The type count is fixed at startup (every accepted PUT preserves it),
@@ -543,33 +599,20 @@ func (s *server) tick() (snapshot, error) {
 	}
 
 	start := time.Now()
-	jobs := s.eng.Jobs()
 	snap := snapshot{
 		Round:      round + 1,
 		ComputedAt: time.Now().UTC(),
-		NumJobs:    len(jobs),
-		Jobs:       make(map[string]jobAlloc, len(jobs)),
+		NumJobs:    s.eng.NumJobs(),
 	}
-	if len(jobs) > 0 {
-		alloc, err := s.eng.Step(jobs, c)
+	if snap.NumJobs > 0 {
+		alloc, err := s.eng.Solve(c)
 		if err != nil {
 			// The mutations were applied; only the snapshot is lost.
 			return snapshot{}, err
 		}
-		var staleMask []bool
+		snap.alloc = alloc
 		if s.coord != nil {
-			staleMask = s.coord.LastStale()
 			snap.StaleJobs = s.coord.StaleJobs()
-		}
-		for i, j := range jobs {
-			ja := jobAlloc{ID: j.ID, EffThr: alloc.EffThr[i]}
-			if alloc.X != nil {
-				ja.X = alloc.X[i]
-			}
-			if i < len(staleMask) {
-				ja.Stale = staleMask[i]
-			}
-			snap.Jobs[strconv.Itoa(j.ID)] = ja
 		}
 	}
 	snap.SolveTimeMs = float64(time.Since(start).Microseconds()) / 1000
@@ -619,17 +662,29 @@ func (s *server) handleAllocation(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	snap := s.snap
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, snap)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_ = snap.writeJSON(w)
 }
 
 func (s *server) handleAllocationOne(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	ja, ok := s.snap.Jobs[r.PathValue("id")]
-	round := s.snap.Round
+	snap := s.snap
 	s.mu.Unlock()
+	// Only the canonical decimal form names a client ("01" does not).
+	idStr := r.PathValue("id")
+	id, err := strconv.Atoi(idStr)
+	i, ok := 0, false
+	if a := snap.alloc; err == nil && a != nil && strconv.Itoa(id) == idStr {
+		i, ok = a.Find(id)
+	}
 	if !ok {
-		writeErr(w, http.StatusNotFound, "job %s has no allocation (round %d)", r.PathValue("id"), round)
+		writeErr(w, http.StatusNotFound, "job %s has no allocation (round %d)", idStr, snap.Round)
 		return
+	}
+	ja := jobAlloc{ID: id, X: snap.alloc.Row(i), EffThr: snap.alloc.EffThr[i]}
+	if snap.alloc.Stale != nil {
+		ja.Stale = snap.alloc.Stale[i]
 	}
 	writeJSON(w, http.StatusOK, ja)
 }

@@ -347,16 +347,14 @@ func TestServerAllocationFeasible(t *testing.T) {
 	snap := s.snap
 	s.mu.Unlock()
 	used := make([]float64, 3)
-	for idStr, ja := range snap.Jobs {
-		var id int
-		fmt.Sscanf(idStr, "%d", &id)
+	for row, id := range snap.alloc.IDs {
 		scale := 1 + float64(id%2)
 		if id == 77 {
 			scale = 1
 		}
-		for i, v := range ja.X {
+		for i, v := range snap.alloc.Row(row) {
 			if v < -1e-9 {
-				t.Fatalf("job %s negative fraction %g", idStr, v)
+				t.Fatalf("job %d negative fraction %g", id, v)
 			}
 			used[i] += v * scale
 		}

@@ -16,12 +16,10 @@
 //	price-scale     price engine alone at 50k–1M clients: cold vs warm
 //	                iterations-to-clearing and warm per-round latency. The
 //	                LP is not run at these sizes.
-//	hybrid          batch: cold LP vs price-seeded LP (HybridMaxMin), same
-//	                optimum by construction, wall clock compared.
 //
 // Usage:
 //
-//	pricebench [-engine all|lp|price|hybrid] [-o BENCH_price.json] [-reps 3]
+//	pricebench [-engine all|lp|price] [-o BENCH_price.json] [-reps 3]
 //	           [-rounds 6] [-seed 1] [-quick] [-metrics]
 //
 // -quick shrinks every family to smoke-test size (CI); -metrics dumps the
@@ -54,7 +52,7 @@ var (
 
 type record struct {
 	Family  string `json:"family"`
-	Engine  string `json:"engine"` // lp | price | hybrid
+	Engine  string `json:"engine"` // lp | price
 	Clients int    `json:"clients"`
 	Rounds  int    `json:"rounds"`
 	// NsPerRound is the best-repetition mean per timed round (batch
@@ -73,7 +71,7 @@ type record struct {
 	SpeedupVsLP float64 `json:"speedup_vs_lp,omitempty"`
 	// MaxDeviation is the lb band violation of the final round (lb only).
 	MaxDeviation float64 `json:"max_deviation,omitempty"`
-	// Price-engine accounting (price/hybrid records only).
+	// Price-engine accounting (price records only).
 	ColdIterations int     `json:"cold_iterations,omitempty"`
 	WarmIterations int     `json:"warm_iterations,omitempty"`
 	Residual       float64 `json:"residual,omitempty"`
@@ -89,7 +87,7 @@ type report struct {
 
 func main() {
 	var (
-		engine  = flag.String("engine", "all", "engines to run: all | lp | price | hybrid")
+		engine  = flag.String("engine", "all", "engines to run: all | lp | price")
 		out     = flag.String("o", "BENCH_price.json", "output file ('-' for stdout)")
 		reps    = flag.Int("reps", 3, "repetitions (best per-round time is kept)")
 		rounds  = flag.Int("rounds", 6, "timed rounds per sequence")
@@ -99,9 +97,9 @@ func main() {
 	)
 	flag.Parse()
 	switch *engine {
-	case "all", "lp", "price", "hybrid":
+	case "all", "lp", "price":
 	default:
-		fmt.Fprintf(os.Stderr, "pricebench: unknown -engine %q (want all|lp|price|hybrid)\n", *engine)
+		fmt.Fprintf(os.Stderr, "pricebench: unknown -engine %q (want all|lp|price)\n", *engine)
 		os.Exit(2)
 	}
 	if *metrics {
@@ -119,9 +117,8 @@ func main() {
 	clusterSizes := []int{400, 1600, 6400}
 	lbSizes := []int{250, 1000, 4000}
 	scaleSizes := []int{50_000, 250_000, 1_000_000}
-	hybridSizes := []int{400, 1600}
 	if *quick {
-		clusterSizes, lbSizes, scaleSizes, hybridSizes = []int{200}, []int{120}, []int{20_000}, []int{200}
+		clusterSizes, lbSizes, scaleSizes = []int{200}, []int{120}, []int{20_000}
 	}
 
 	for _, n := range clusterSizes {
@@ -135,11 +132,6 @@ func main() {
 	if want("price") {
 		for _, n := range scaleSizes {
 			rep.Records = append(rep.Records, benchPriceScale(n, *reps, *seed))
-		}
-	}
-	if want("hybrid") {
-		for _, n := range hybridSizes {
-			rep.Records = append(rep.Records, benchHybrid(n, *reps, *seed)...)
 		}
 	}
 
@@ -179,11 +171,10 @@ func die(err error) {
 // churnRounds drives one engine through a low-churn round sequence (2% of
 // jobs replaced per round plus a few weight jitters) and returns the best
 // mean per-round latency across reps, the final objective, and the final
-// active job set. step abstracts over the LP and price cluster engines.
+// active job set. clusterEngine abstracts over the LP and price cluster
+// engines; each round syncs the engine to the live list via its Policy.
 type clusterEngine interface {
-	Upsert(cluster.Job)
-	Remove(id int) bool
-	Step(active []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error)
+	Policy() func(jobs []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error)
 	Objective() float64
 }
 
@@ -195,8 +186,9 @@ func clusterSequence(n int, rounds int, seed int64) (base []cluster.Job, play fu
 		copy(live, base)
 		c := clusterFor(n)
 		nextID := n
+		step := e.Policy()
 		// Untimed warm-up round.
-		_, err := e.Step(live, c)
+		_, err := step(live, c)
 		die(err)
 		var ns int64
 		for round := 0; round < rounds; round++ {
@@ -212,7 +204,7 @@ func clusterSequence(n int, rounds int, seed int64) (base []cluster.Job, play fu
 				live[rng.Intn(len(live))].Weight = 0.5 + rng.Float64()*2
 			}
 			start := time.Now()
-			_, err := e.Step(live, c)
+			_, err := step(live, c)
 			die(err)
 			ns += time.Since(start).Nanoseconds()
 		}
@@ -255,7 +247,7 @@ func benchClusterOnline(n, rounds, reps int, seed int64, runLP, runPrice bool) [
 			}
 			// The online engine reports the k-partitioned objective; score
 			// the composed allocation on the global metric instead.
-			a, err := eng.Step(live, c)
+			a, err := eng.Policy()(live, c)
 			die(err)
 			rec.Objective = price.MaxMinObjective(live, c, a)
 		}
@@ -393,7 +385,8 @@ func benchPriceScale(n, reps int, seed int64) record {
 		eng, err := price.NewClusterEngine(c, price.MaxMinFairness,
 			price.EngineOptions{Solver: price.Options{Seed: seed, Parallel: true, Obs: metricsObs}})
 		die(err)
-		_, err = eng.Step(jobs, c)
+		step := eng.Policy()
+		_, err = step(jobs, c)
 		die(err)
 		cold := eng.Stats().LastIterations
 
@@ -407,7 +400,7 @@ func benchPriceScale(n, reps int, seed int64) record {
 			live[i] = fresh[i]
 		}
 		start := time.Now()
-		_, err = eng.Step(live, c)
+		_, err = step(live, c)
 		die(err)
 		ns := time.Since(start).Nanoseconds()
 		st := eng.Stats()
@@ -422,43 +415,4 @@ func benchPriceScale(n, reps int, seed int64) record {
 	}
 	rec.NsPerRound = best
 	return rec
-}
-
-// benchHybrid compares a cold global LP solve against the price-seeded LP
-// (HybridMaxMin): same optimum by construction, wall clock side by side.
-func benchHybrid(n, reps int, seed int64) []record {
-	jobs := cluster.GenerateJobs(n, seed+2, 0.2)
-	c := clusterFor(n)
-	lpRec := record{Family: "hybrid", Engine: "lp", Clients: n, Rounds: 1, NsPerRound: math.MaxInt64}
-	hyRec := record{Family: "hybrid", Engine: "hybrid", Clients: n, Rounds: 1, NsPerRound: math.MaxInt64}
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		a, err := cluster.MaxMinFairness(jobs, c, lp.Options{})
-		die(err)
-		if ns := time.Since(start).Nanoseconds(); ns < lpRec.NsPerRound {
-			lpRec.NsPerRound = ns
-			lpRec.Objective = price.MaxMinObjective(jobs, c, a)
-		}
-
-		start = time.Now()
-		ha, sol, err := price.HybridMaxMin(jobs, c, price.Options{Seed: seed, Parallel: true, Obs: metricsObs}, lp.Options{})
-		die(err)
-		if ns := time.Since(start).Nanoseconds(); ns < hyRec.NsPerRound {
-			hyRec.NsPerRound = ns
-			hyRec.Objective = price.MaxMinObjective(jobs, c, ha)
-			if sol != nil {
-				hyRec.ColdIterations = sol.Iterations
-				hyRec.Residual = sol.Residual
-			}
-		}
-	}
-	lpRec.GlobalObjective = lpRec.Objective
-	hyRec.GlobalObjective = lpRec.Objective
-	if lpRec.Objective > 0 {
-		hyRec.GapVsGlobal = (lpRec.Objective - hyRec.Objective) / lpRec.Objective
-	}
-	if hyRec.NsPerRound > 0 {
-		hyRec.SpeedupVsLP = float64(lpRec.NsPerRound) / float64(hyRec.NsPerRound)
-	}
-	return []record{lpRec, hyRec}
 }

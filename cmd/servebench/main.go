@@ -248,9 +248,13 @@ func runFleet(n, clients, rounds int, churn float64, policy string, k int, deadl
 		return out
 	}
 
+	step := func(list []cluster.Job) (*cluster.Columns, error) {
+		cluster.SyncTo(coord, list)
+		return coord.Solve(pool)
+	}
 	rec := record{Shards: n, Clients: clients}
 	start := time.Now()
-	if _, err := coord.Step(activeOf(), pool); err != nil {
+	if _, err := step(activeOf()); err != nil {
 		return record{}, fmt.Errorf("cold load round: %w", err)
 	}
 	rec.LoadMs = float64(time.Since(start).Microseconds()) / 1000
@@ -260,8 +264,7 @@ func runFleet(n, clients, rounds int, churn float64, policy string, k int, deadl
 		perRound = 1
 	}
 	times := make([]float64, 0, rounds)
-	var lastAlloc *cluster.Allocation
-	var lastActive []cluster.Job
+	var lastAlloc *cluster.Columns
 	for r := 0; r < rounds; r++ {
 		// Replace perRound clients: drop the oldest, admit fresh arrivals —
 		// steady-state churn, not a workload reshape.
@@ -272,10 +275,10 @@ func runFleet(n, clients, rounds int, churn float64, policy string, k int, deadl
 			nextID++
 		}
 		order = order[perRound:]
-		lastActive = activeOf()
+		active := activeOf()
 
 		start := time.Now()
-		alloc, err := coord.Step(lastActive, pool)
+		alloc, err := step(active)
 		if err != nil {
 			return record{}, fmt.Errorf("round %d: %w", r+1, err)
 		}
@@ -290,8 +293,8 @@ func runFleet(n, clients, rounds int, churn float64, policy string, k int, deadl
 		rec.Rebuilds += ws.Rebuilds
 	}
 	if lastAlloc != nil {
-		for i := range lastActive {
-			rec.SumEffThr += lastAlloc.EffThr[i]
+		for _, thr := range lastAlloc.EffThr {
+			rec.SumEffThr += thr
 		}
 	}
 	sort.Float64s(times)
@@ -368,7 +371,7 @@ func workerMain(args []string) error {
 	fmt.Printf("%s%s\n", addrPrefix, ln.Addr().String())
 	os.Stdout.Sync()
 
-	srv := &http.Server{Handler: w.Handler()}
+	srv := &http.Server{Handler: w.Handler(), ReadHeaderTimeout: shard.ReadHeaderTimeout}
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGTERM, syscall.SIGINT)
 	done := make(chan error, 1)

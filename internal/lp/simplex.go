@@ -640,12 +640,15 @@ func (s *simplex) updateDevex(leave, q int, alphaQ float64) {
 			maxW = s.devexW[j]
 		}
 	}
-	// The leaving variable becomes nonbasic with weight max(wq/αq², 1).
+	// The leaving variable becomes nonbasic with weight max(wq/αq², 1). An
+	// artificial leaving in phase 1 never re-enters, so it carries none.
 	out := wq * inv2
 	if out < 1 {
 		out = 1
 	}
-	s.devexW[s.basis[leave]] = out
+	if b := s.basis[leave]; b < s.ncols {
+		s.devexW[b] = out
+	}
 	// Reset the framework when weights blow up (standard devex hygiene).
 	if maxW > 1e8 {
 		s.resetDevex()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"pop/internal/cluster"
 	"pop/internal/lp"
@@ -58,11 +57,14 @@ type clusterState struct {
 	c       cluster.Cluster
 	sub     cluster.Cluster // c.Split(K)
 	haveC   bool
-	jobs    map[int]cluster.Job
+	jobs    cluster.Roster
 	results []*clusterSubResult
 }
 
-func (st *clusterState) member(id int) cluster.Job { return st.jobs[id] }
+func (st *clusterState) member(id int) cluster.Job {
+	j, _ := st.jobs.Get(id)
+	return j
+}
 
 // soloIDs extracts the member ids from a layout's single-owner blocks, in
 // block order — the member list both cluster adapters key their rows by.
@@ -80,7 +82,7 @@ func (st *clusterState) soloMembers(layout []Block) []cluster.Job {
 	members := make([]cluster.Job, 0, len(layout))
 	for _, b := range layout {
 		if b.Key.B == NoPartner {
-			members = append(members, st.jobs[b.Key.A])
+			members = append(members, st.member(b.Key.A))
 		}
 	}
 	return members
@@ -111,7 +113,6 @@ func NewClusterEngine(c cluster.Cluster, policy ClusterPolicy, opts Options, lpO
 	}
 	st := &clusterState{
 		policy:  policy,
-		jobs:    make(map[int]cluster.Job),
 		results: make([]*clusterSubResult, opts.K),
 	}
 	var ad Adapter
@@ -133,7 +134,7 @@ func NewClusterEngine(c cluster.Cluster, policy ClusterPolicy, opts Options, lpO
 // sub-problem (each holds 1/k of every GPU type); under MinMakespan it is a
 // pure rhs delta, so the re-solves ride the dual simplex.
 func (e *ClusterEngine) SetCluster(c cluster.Cluster) {
-	if e.st.haveC && clustersEqual(e.st.c, c) {
+	if e.st.haveC && slices.Equal(e.st.c.NumGPUs, c.NumGPUs) {
 		return
 	}
 	e.st.c = c
@@ -142,54 +143,25 @@ func (e *ClusterEngine) SetCluster(c cluster.Cluster) {
 	e.eng.t.markAllDirty()
 }
 
-func clustersEqual(a, b cluster.Cluster) bool {
-	if len(a.NumGPUs) != len(b.NumGPUs) {
-		return false
-	}
-	for i := range a.NumGPUs {
-		if a.NumGPUs[i] != b.NumGPUs[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Upsert adds job j (keyed by j.ID) or applies a change to it. Unchanged
 // re-submissions are no-ops and dirty nothing.
 func (e *ClusterEngine) Upsert(j cluster.Job) {
-	if old, ok := e.st.jobs[j.ID]; ok {
-		if jobsEqual(old, j) {
-			return
-		}
-		e.st.jobs[j.ID] = j
-		e.eng.t.upsert(j.ID, j.Scale)
-		e.eng.t.touch(j.ID)
+	isNew, changed := e.st.jobs.Upsert(j)
+	if !changed {
 		return
 	}
-	e.st.jobs[j.ID] = j
 	e.eng.t.upsert(j.ID, j.Scale)
+	if !isNew {
+		e.eng.t.touch(j.ID)
+	}
 }
 
 // Remove drops the job; survivors keep their sub-problems.
 func (e *ClusterEngine) Remove(id int) bool {
-	if _, ok := e.st.jobs[id]; !ok {
+	if !e.st.jobs.Remove(id) {
 		return false
 	}
-	delete(e.st.jobs, id)
 	return e.eng.t.remove(id)
-}
-
-func jobsEqual(a, b cluster.Job) bool {
-	if a.Weight != b.Weight || a.Scale != b.Scale || a.NumSteps != b.NumSteps ||
-		a.Priority != b.Priority || a.MemFrac != b.MemFrac || len(a.Throughput) != len(b.Throughput) {
-		return false
-	}
-	for i := range a.Throughput {
-		if a.Throughput[i] != b.Throughput[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // MarkAllDirty forces a full re-solve on the next Solve (benchmark and
@@ -197,17 +169,10 @@ func jobsEqual(a, b cluster.Job) bool {
 func (e *ClusterEngine) MarkAllDirty() { e.eng.t.markAllDirty() }
 
 // NumJobs reports the number of jobs currently held.
-func (e *ClusterEngine) NumJobs() int { return len(e.st.jobs) }
+func (e *ClusterEngine) NumJobs() int { return e.st.jobs.Len() }
 
-// Jobs returns the live jobs in ascending-ID order.
-func (e *ClusterEngine) Jobs() []cluster.Job {
-	out := make([]cluster.Job, 0, len(e.st.jobs))
-	for _, j := range e.st.jobs {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
-}
+// IDs returns the held job IDs in ascending order.
+func (e *ClusterEngine) IDs() []int { return e.st.jobs.IDs() }
 
 // Cluster returns the current resource pool.
 func (e *ClusterEngine) Cluster() cluster.Cluster { return e.st.c }
@@ -215,11 +180,33 @@ func (e *ClusterEngine) Cluster() cluster.Cluster { return e.st.c }
 // Stats returns the engine's work counters.
 func (e *ClusterEngine) Stats() Stats { return e.eng.t.stats }
 
-// Solve re-solves every dirty sub-problem from its persistent model,
-// leaving clean ones untouched.
-func (e *ClusterEngine) Solve() error {
+// Solve installs pool (see SetCluster), re-solves every dirty sub-problem
+// from its persistent model, leaving clean ones untouched, and returns the
+// allocation of every held job in ascending-ID order (X nil under space
+// sharing, whose jobs run in shared slots).
+func (e *ClusterEngine) Solve(pool cluster.Cluster) (*cluster.Columns, error) {
+	e.SetCluster(pool)
 	e.eng.t.rebalance()
-	return e.eng.solveRound()
+	if err := e.eng.solveRound(); err != nil {
+		return nil, err
+	}
+	ids := e.st.jobs.IDs()
+	out := &cluster.Columns{IDs: ids, EffThr: make([]float64, len(ids))}
+	r := e.st.sub.NumTypes()
+	if e.st.policy != SpaceSharing {
+		out.X = make([]float64, len(ids)*r)
+	}
+	for pos, id := range ids {
+		res, i, err := e.resultOf(id)
+		if err != nil {
+			return nil, err
+		}
+		out.EffThr[pos] = res.alloc.EffThr[i]
+		if out.X != nil {
+			copy(out.X[pos*r:(pos+1)*r], res.alloc.X[i])
+		}
+	}
+	return out, nil
 }
 
 // Objective sums the sub-problem objectives — a checksum the equivalence
@@ -234,99 +221,43 @@ func (e *ClusterEngine) Objective() float64 {
 	return total
 }
 
-// Step applies the diff between the engine's state and the given active set
-// (arrivals, changes, departures), re-solves incrementally, and returns the
-// allocation in active-set order (solo policies: X rows per job; space
-// sharing: the composed Pairs/PairX slot list). It is the bridge into round
-// loops like gavelsim's.
-func (e *ClusterEngine) Step(active []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
-	e.SetCluster(c)
-	seen := make(map[int]bool, len(active))
-	for _, j := range active {
-		seen[j.ID] = true
-		e.Upsert(j)
-	}
-	var gone []int
-	for id := range e.st.jobs {
-		if !seen[id] {
-			gone = append(gone, id)
-		}
-	}
-	for _, id := range gone {
-		e.Remove(id)
-	}
-	if err := e.Solve(); err != nil {
-		return nil, err
-	}
-	if e.st.policy == SpaceSharing {
-		return e.composePairs(active)
-	}
-
-	out := &cluster.Allocation{
-		X:      make([][]float64, len(active)),
-		EffThr: make([]float64, len(active)),
-	}
-	counted := make([]bool, len(e.st.results))
-	for pos, j := range active {
-		res, i, p, err := e.resultOf(j.ID)
-		if err != nil {
-			return nil, err
-		}
-		// Copy: handing out the cached row would let a caller's in-place
-		// edits corrupt the allocation served on later clean rounds.
-		out.X[pos] = append([]float64(nil), res.alloc.X[i]...)
-		out.EffThr[pos] = res.alloc.EffThr[i]
-		if !counted[p] {
-			counted[p] = true
-			out.LPVariables += res.alloc.LPVariables
-		}
-	}
-	return out, nil
-}
-
 // resultOf locates job id's cached sub-problem result and its local index.
-func (e *ClusterEngine) resultOf(id int) (*clusterSubResult, int, int, error) {
+func (e *ClusterEngine) resultOf(id int) (*clusterSubResult, int, error) {
 	p, ok := e.eng.t.partOf[id]
 	if !ok || e.st.results[p] == nil {
-		return nil, 0, 0, fmt.Errorf("online: job %d has no sub-problem result", id)
+		return nil, 0, fmt.Errorf("online: job %d has no sub-problem result", id)
 	}
 	res := e.st.results[p]
 	i, ok := res.index[id]
 	if !ok {
-		return nil, 0, 0, fmt.Errorf("online: job %d missing from sub-problem %d result", id, p)
+		return nil, 0, fmt.Errorf("online: job %d missing from sub-problem %d result", id, p)
 	}
-	return res, i, p, nil
+	return res, i, nil
 }
 
-// composePairs concatenates the per-partition pair allocations onto the
-// active set (POP's reduce step for the space-sharing policy).
-func (e *ClusterEngine) composePairs(active []cluster.Job) (*cluster.Allocation, error) {
-	out := &cluster.Allocation{EffThr: make([]float64, len(active))}
-	counted := make([]bool, len(e.st.results))
-	for pos, j := range active {
-		res, i, p, err := e.resultOf(j.ID)
+// Policy adapts the engine to gavelsim's round loop: each call syncs the
+// engine to the active set (cluster.SyncTo), re-solves incrementally, and
+// returns the allocation in active-set order (solo policies: X rows per
+// job; space sharing: the composed Pairs/PairX slot list).
+func (e *ClusterEngine) Policy() func(jobs []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
+	return func(jobs []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
+		cluster.SyncTo(e, jobs)
+		cols, err := e.Solve(c)
 		if err != nil {
 			return nil, err
 		}
-		out.EffThr[pos] = res.alloc.EffThr[i]
-		if !counted[p] {
-			counted[p] = true
+		out := cols.For(jobs)
+		for _, res := range e.st.results {
+			if res == nil || len(res.ids) == 0 {
+				continue
+			}
 			out.LPVariables += res.alloc.LPVariables
 			for q := range res.alloc.Pairs {
 				out.Pairs = append(out.Pairs, res.alloc.Pairs[q])
-				out.PairX = append(out.PairX, append([]float64(nil), res.alloc.PairX[q]...))
+				out.PairX = append(out.PairX, slices.Clone(res.alloc.PairX[q]))
 			}
 		}
-	}
-	return out, nil
-}
-
-// Policy adapts the engine to gavelsim's round loop: each call diffs the
-// active set against engine state and re-solves incrementally. The returned
-// function has gavelsim.Policy's signature.
-func (e *ClusterEngine) Policy() func(jobs []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
-	return func(jobs []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
-		return e.Step(jobs, c)
+		return out, nil
 	}
 }
 
@@ -419,7 +350,7 @@ func (ad *soloAdapter) Extract(p int, layout []Block, sol *lp.Solution, nVars in
 		index[id] = i
 		alloc.X[i] = make([]float64, r)
 		copy(alloc.X[i], sol.X[i*r:(i+1)*r])
-		alloc.EffThr[i] = cluster.EffectiveThroughput(ad.jobs[id], alloc.X[i])
+		alloc.EffThr[i] = cluster.EffectiveThroughput(ad.member(id), alloc.X[i])
 	}
 	ad.results[p] = &clusterSubResult{
 		ids:       slices.Clone(ids),

@@ -104,8 +104,11 @@
 //
 // ClusterEngine runs the §4.1 GPU-scheduling policies — max-min fairness
 // and minimize-makespan on solo blocks, and the space-sharing policy (Fig
-// 6) on the pair-block layout; its Policy method adapts it to gavelsim's
-// round loop. LBEngine runs the §4.3 shard balancer on the continuous
+// 6) on the pair-block layout. Its round surface takes deltas only: Upsert
+// and Remove mutate the client set, and Solve(pool) re-solves the dirty
+// sub-problems and returns every client's allocation as cluster.Columns in
+// ascending-ID order, with no per-round diff of a client list; its Policy
+// method adapts it to gavelsim's round loop through cluster.SyncTo. LBEngine runs the §4.3 shard balancer on the continuous
 // relaxation (the MILP's integer search cannot reuse a simplex basis; the
 // relaxation is where the paper's round-over-round latency lives); its
 // Solver method plugs into lb.RunRounds. TEEngine runs the §4.2 path

@@ -95,11 +95,11 @@ func TestClusterEngineMatchesColdFullSolve(t *testing.T) {
 		}
 		for round := 0; round < rounds; round++ {
 			driveRandomDeltas(rng, []*ClusterEngine{warm, cold}, pool, live, &nextID)
-			if err := warm.Solve(); err != nil {
+			if _, err := warm.Solve(c); err != nil {
 				t.Fatalf("seq %d round %d warm: %v", seq, round, err)
 			}
 			cold.MarkAllDirty()
-			if err := cold.Solve(); err != nil {
+			if _, err := cold.Solve(c); err != nil {
 				t.Fatalf("seq %d round %d cold: %v", seq, round, err)
 			}
 			if w, cobj := warm.Objective(), cold.Objective(); !approxEq(w, cobj, 1e-6) {
@@ -125,7 +125,7 @@ func TestClusterEngineSkipsCleanSubProblems(t *testing.T) {
 	for _, j := range jobs {
 		e.Upsert(j)
 	}
-	if err := e.Solve(); err != nil {
+	if _, err := e.Solve(c); err != nil {
 		t.Fatal(err)
 	}
 	base := e.Stats()
@@ -137,7 +137,7 @@ func TestClusterEngineSkipsCleanSubProblems(t *testing.T) {
 	j := jobs[7]
 	j.Weight = 3
 	e.Upsert(j)
-	if err := e.Solve(); err != nil {
+	if _, err := e.Solve(c); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -149,7 +149,7 @@ func TestClusterEngineSkipsCleanSubProblems(t *testing.T) {
 	}
 
 	// No deltas at all: nothing solves.
-	if err := e.Solve(); err != nil {
+	if _, err := e.Solve(c); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Stats().SubSolves - s.SubSolves; got != 0 {
@@ -157,8 +157,7 @@ func TestClusterEngineSkipsCleanSubProblems(t *testing.T) {
 	}
 
 	// A capacity change dirties everything.
-	e.SetCluster(cluster.NewCluster(8, 8, 16))
-	if err := e.Solve(); err != nil {
+	if _, err := e.Solve(cluster.NewCluster(8, 8, 16)); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Stats().SubSolves - e.Stats().Rounds; got < 0 {
@@ -322,11 +321,11 @@ func TestClusterEngineRebalanceMatchesCold(t *testing.T) {
 	}
 	for round := 0; round < 8; round++ {
 		driveRandomDeltas(rng, []*ClusterEngine{warm, cold}, pool, live, &nextID)
-		if err := warm.Solve(); err != nil {
+		if _, err := warm.Solve(c); err != nil {
 			t.Fatalf("round %d warm: %v", round, err)
 		}
 		cold.MarkAllDirty()
-		if err := cold.Solve(); err != nil {
+		if _, err := cold.Solve(c); err != nil {
 			t.Fatalf("round %d cold: %v", round, err)
 		}
 		if w, cobj := warm.Objective(), cold.Objective(); !approxEq(w, cobj, 1e-6) {
@@ -347,7 +346,7 @@ func TestClusterEngineAllocationFeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := cluster.GenerateJobs(30, 17, 0.3)
-	alloc, err := e.Step(jobs, c)
+	alloc, err := e.Policy()(jobs, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +354,7 @@ func TestClusterEngineAllocationFeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Shrink the active set; the composed allocation must track it.
-	alloc, err = e.Step(jobs[:11], c)
+	alloc, err = e.Policy()(jobs[:11], c)
 	if err != nil {
 		t.Fatal(err)
 	}

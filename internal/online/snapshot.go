@@ -41,7 +41,7 @@ func (e *ClusterEngine) Snapshot() *ClusterState {
 	st := &ClusterState{
 		Policy:     e.st.policy.String(),
 		K:          e.eng.t.opts.K,
-		Jobs:       e.Jobs(),
+		Jobs:       e.st.jobs.Ordered(),
 		Partitions: make([][]int, e.eng.t.opts.K),
 		Stats:      e.eng.t.stats,
 	}
@@ -81,9 +81,8 @@ func (e *ClusterEngine) Restore(st *ClusterState) error {
 		return fmt.Errorf("online: snapshot has %d partitions, want %d", len(st.Partitions), st.K)
 	}
 	e.resetState()
-	jobs := make(map[int]cluster.Job, len(st.Jobs))
 	for _, j := range st.Jobs {
-		jobs[j.ID] = j
+		e.st.jobs.Upsert(j)
 	}
 	t := e.eng.t
 	placed := 0
@@ -92,7 +91,7 @@ func (e *ClusterEngine) Restore(st *ClusterState) error {
 		part.ids = slices.Clone(ids)
 		part.dirty = true
 		for _, id := range ids {
-			j, ok := jobs[id]
+			j, ok := e.st.jobs.Get(id)
 			if !ok {
 				e.resetState()
 				return fmt.Errorf("online: snapshot partition %d holds unknown job %d", p, id)
@@ -107,11 +106,10 @@ func (e *ClusterEngine) Restore(st *ClusterState) error {
 			placed++
 		}
 	}
-	if placed != len(jobs) {
+	if placed != e.st.jobs.Len() {
 		e.resetState()
-		return fmt.Errorf("online: snapshot partitions cover %d jobs, registry has %d", placed, len(jobs))
+		return fmt.Errorf("online: snapshot partitions cover %d jobs, registry has %d", placed, e.st.jobs.Len())
 	}
-	e.st.jobs = jobs
 	t.stats = st.Stats
 	if len(st.Bases) == st.K {
 		seeds := make([]*lp.Basis, st.K)
@@ -144,7 +142,7 @@ func (e *ClusterEngine) resetState() {
 	}
 	t.partOf = make(map[int]int)
 	t.loadOf = make(map[int]float64)
-	e.st.jobs = make(map[int]cluster.Job)
+	e.st.jobs = cluster.Roster{}
 	e.st.results = make([]*clusterSubResult, t.opts.K)
 	e.eng.invalidateModels()
 	e.eng.seeds = nil

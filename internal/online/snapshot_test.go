@@ -36,11 +36,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	// A few churn rounds so the donor carries non-trivial warm state.
 	for r := 0; r < 3; r++ {
-		if _, err := donor.Step(jobs[:18+2*r], c); err != nil {
+		if _, err := donor.Policy()(jobs[:18+2*r], c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := donor.Step(jobs, c)
+	want, err := donor.Policy()(jobs, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := restored.RestoreBytes(raw); err != nil {
 		t.Fatal(err)
 	}
-	if got, wantN := len(restored.Jobs()), len(donor.Jobs()); got != wantN {
+	if got, wantN := restored.NumJobs(), donor.NumJobs(); got != wantN {
 		t.Fatalf("restored %d jobs, want %d", got, wantN)
 	}
 	if restored.Stats() != donor.Stats() {
@@ -64,7 +64,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	statsBefore := restored.Stats()
-	got, err := restored.Step(jobs, c)
+	got, err := restored.Policy()(jobs, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 	}
 	rnd := rand.New(rand.NewSource(7))
 	jobs := []cluster.Job{snapJob(0, rnd), snapJob(1, rnd), snapJob(2, rnd)}
-	if _, err := donor.Step(jobs, c); err != nil {
+	if _, err := donor.Policy()(jobs, c); err != nil {
 		t.Fatal(err)
 	}
 	st := donor.Snapshot()
@@ -113,7 +113,7 @@ func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 	if err := smaller.Restore(st); err == nil {
 		t.Fatal("K-mismatched restore succeeded")
 	}
-	if _, err := smaller.Step(jobs, c); err != nil {
+	if _, err := smaller.Policy()(jobs, c); err != nil {
 		t.Fatalf("engine unusable after rejected restore: %v", err)
 	}
 }
@@ -128,7 +128,7 @@ func TestSnapshotRestoreCorruptPlacement(t *testing.T) {
 	}
 	rnd := rand.New(rand.NewSource(8))
 	jobs := []cluster.Job{snapJob(0, rnd), snapJob(1, rnd)}
-	if _, err := donor.Step(jobs, c); err != nil {
+	if _, err := donor.Policy()(jobs, c); err != nil {
 		t.Fatal(err)
 	}
 

@@ -36,11 +36,11 @@ func (ad *pairAdapter) Layout(p int, ids []int) []Block {
 		layout = append(layout, Block{Key: BlockKey{id, NoPartner}, Vars: r, Rows: 2})
 	}
 	for i, a := range ids {
-		if ad.jobs[a].Scale != 1 {
+		if ad.member(a).Scale != 1 {
 			continue
 		}
 		for _, b := range ids[i+1:] {
-			if ad.jobs[b].Scale != 1 {
+			if ad.member(b).Scale != 1 {
 				continue
 			}
 			layout = append(layout, Block{Key: BlockKey{a, b}, Vars: r, Rows: 0})
@@ -54,7 +54,7 @@ func (ad *pairAdapter) Layout(p int, ids []int) []Block {
 // slots at interference-reduced throughput.
 func (ad *pairAdapter) slotTerms(layout []Block, id int) (vars []int, thr []float64) {
 	r := ad.sub.NumTypes()
-	j := ad.jobs[id]
+	j := ad.member(id)
 	for q, b := range layout {
 		if !b.Key.Contains(id) {
 			continue
@@ -65,7 +65,7 @@ func (ad *pairAdapter) slotTerms(layout []Block, id int) (vars []int, thr []floa
 			if other == id {
 				other = b.Key.B
 			}
-			scale = cluster.Interference(j, ad.jobs[other])
+			scale = cluster.Interference(j, ad.member(other))
 		}
 		for i := 0; i < r; i++ {
 			vars = append(vars, q*r+i)
@@ -102,7 +102,7 @@ func (ad *pairAdapter) BuildModel(p int, layout []Block) *lp.Model {
 		loads := make([]float64, len(layout))
 		for q, b := range layout {
 			idxs[q] = q*r + i
-			loads[q] = slotLoad(ad.jobs, b.Key)
+			loads[q] = ad.slotLoad(b.Key)
 		}
 		m.AddConstraint(idxs, loads, lp.LE, ad.sub.NumGPUs[i], "gpus")
 	}
@@ -144,7 +144,7 @@ func (ad *pairAdapter) RefreshModel(m *lp.Model, p int, layout []Block) {
 	for i := 0; i < r; i++ {
 		for q, b := range layout {
 			idxs[q] = q*r + i
-			loads[q] = slotLoad(ad.jobs, b.Key)
+			loads[q] = ad.slotLoad(b.Key)
 		}
 		m.SetCoeffs(2*n+i, idxs, loads)
 		m.SetRHS(2*n+i, ad.sub.NumGPUs[i])
@@ -207,9 +207,9 @@ func pairFairCoefs(j cluster.Job, eqShare []float64, thr []float64) ([]float64, 
 
 // slotLoad is the GPU usage of a slot on each type it runs on: z_j for a
 // solo slot, 1 for a shared slot.
-func slotLoad(jobs map[int]cluster.Job, k BlockKey) float64 {
+func (st *clusterState) slotLoad(k BlockKey) float64 {
 	if k.B == NoPartner {
-		return jobs[k.A].Scale
+		return st.member(k.A).Scale
 	}
 	return 1
 }

@@ -45,11 +45,11 @@ func TestSpaceSharingEngineMatchesColdFullSolve(t *testing.T) {
 		}
 		for round := 0; round < rounds; round++ {
 			driveRandomDeltas(rng, []*ClusterEngine{warm, cold}, pool, live, &nextID)
-			if err := warm.Solve(); err != nil {
+			if _, err := warm.Solve(c); err != nil {
 				t.Fatalf("seq %d round %d warm: %v", seq, round, err)
 			}
 			cold.MarkAllDirty()
-			if err := cold.Solve(); err != nil {
+			if _, err := cold.Solve(c); err != nil {
 				t.Fatalf("seq %d round %d cold: %v", seq, round, err)
 			}
 			if w, cobj := warm.Objective(), cold.Objective(); !approxEq(w, cobj, 1e-6) {
@@ -75,7 +75,7 @@ func TestSpaceSharingEngineMatchesBatchPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	online, err := e.Step(jobs, c)
+	online, err := e.Policy()(jobs, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSpaceSharingEngineFeasibleAndPaired(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := cluster.GenerateJobs(20, 41, 0.25)
-	alloc, err := e.Step(jobs, c)
+	alloc, err := e.Policy()(jobs, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSpaceSharingEngineFeasibleAndPaired(t *testing.T) {
 
 	// Shrink the active set; the composed allocation must track it, and
 	// departed jobs' slots must vanish.
-	alloc, err = e.Step(jobs[:9], c)
+	alloc, err = e.Policy()(jobs[:9], c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,11 @@ func TestSpaceSharingScaleFlipRelayouts(t *testing.T) {
 	}
 	step := func() {
 		t.Helper()
-		if err := warm.Solve(); err != nil {
+		if _, err := warm.Solve(c); err != nil {
 			t.Fatal(err)
 		}
 		cold.MarkAllDirty()
-		if err := cold.Solve(); err != nil {
+		if _, err := cold.Solve(c); err != nil {
 			t.Fatal(err)
 		}
 		if w, cobj := warm.Objective(), cold.Objective(); !approxEq(w, cobj, 1e-6) {

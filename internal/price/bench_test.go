@@ -20,7 +20,7 @@ func BenchmarkWarmRound(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := eng.Step(jobs, c); err != nil {
+			if _, err := eng.Policy()(jobs, c); err != nil {
 				b.Fatal(err)
 			}
 			nChurn := n / 50
@@ -33,7 +33,7 @@ func BenchmarkWarmRound(b *testing.B) {
 					nextID++
 					jobs[k%len(jobs)] = fresh[k]
 				}
-				if _, err := eng.Step(jobs, c); err != nil {
+				if _, err := eng.Policy()(jobs, c); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -392,54 +392,74 @@ func newPropFairDomain(jobs []cluster.Job, c cluster.Cluster) *clusterDomain {
 // LP, per-job closed-form best responses. The returned Solution carries the
 // prices (warm start for the next round) and convergence accounting.
 func SolveMaxMin(jobs []cluster.Job, c cluster.Cluster, opts Options) (*cluster.Allocation, *Solution, error) {
-	if opts.Alpha == 0 {
-		opts.Alpha = 32
-	}
-	if opts.Step == 0 {
-		// Alpha-fair demand elasticity is 1/α, so an unset step scales with
-		// Alpha to keep the effective price motion constant across exponents.
-		opts.Step = opts.Alpha / 12
-	}
-	return solveCluster(newMaxMinDomain(jobs, c, opts.Alpha), jobs, c, opts)
+	return solveAllocation(MaxMinFairness, jobs, c, opts)
 }
 
 // SolvePropFair approximates cluster.ProportionalFairness by price
 // discovery over the Eisenberg-Gale market.
 func SolvePropFair(jobs []cluster.Job, c cluster.Cluster, opts Options) (*cluster.Allocation, *Solution, error) {
-	return solveCluster(newPropFairDomain(jobs, c), jobs, c, opts)
+	return solveAllocation(ProportionalFairness, jobs, c, opts)
 }
 
-func solveCluster(d *clusterDomain, jobs []cluster.Job, c cluster.Cluster, opts Options) (*cluster.Allocation, *Solution, error) {
-	sol, err := Solve(d, opts)
+func solveAllocation(policy ClusterPolicy, jobs []cluster.Job, c cluster.Cluster, opts Options) (*cluster.Allocation, *Solution, error) {
+	x, eff, sol, err := solveColumns(policy, jobs, c, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return clusterAllocation(jobs, c, sol), sol, nil
+	r := c.NumTypes()
+	a := &cluster.Allocation{X: make([][]float64, len(jobs)), EffThr: eff}
+	for idx := range jobs {
+		a.X[idx] = x[idx*r : (idx+1)*r : (idx+1)*r]
+	}
+	return a, sol, nil
 }
 
-// clusterAllocation converts averaged demands back to time fractions and
+// solveColumns solves policy's market over jobs and returns the n×r
+// row-major time fractions, the effective throughputs and the solution.
+func solveColumns(policy ClusterPolicy, jobs []cluster.Job, c cluster.Cluster, opts Options) (x, eff []float64, sol *Solution, err error) {
+	var d *clusterDomain
+	if policy == ProportionalFairness {
+		d = newPropFairDomain(jobs, c)
+	} else {
+		if opts.Alpha == 0 {
+			opts.Alpha = 32
+		}
+		if opts.Step == 0 {
+			// Alpha-fair demand elasticity is 1/α, so an unset step scales
+			// with Alpha to keep the effective price motion constant across
+			// exponents.
+			opts.Step = opts.Alpha / 12
+		}
+		d = newMaxMinDomain(jobs, c, opts.Alpha)
+	}
+	if sol, err = Solve(d, opts); err != nil {
+		return nil, nil, nil, err
+	}
+	x, eff = clusterColumns(jobs, c, sol)
+	return x, eff, sol, nil
+}
+
+// clusterColumns converts averaged demands back to time fractions and
 // projects onto the feasible polytope: rows are clamped to the unit time
 // budget (best responses already respect it; averaging preserves it), then
 // overdemanded capacity columns are scaled down, which only shrinks rows.
-func clusterAllocation(jobs []cluster.Job, c cluster.Cluster, sol *Solution) *cluster.Allocation {
+func clusterColumns(jobs []cluster.Job, c cluster.Cluster, sol *Solution) (x, eff []float64) {
 	n, r := len(jobs), c.NumTypes()
-	a := &cluster.Allocation{
-		X:      make([][]float64, n),
-		EffThr: make([]float64, n),
-	}
+	x = make([]float64, n*r)
+	eff = make([]float64, n)
 	used := make([]float64, r)
 	for idx, j := range jobs {
-		row := make([]float64, r)
+		row := x[idx*r : (idx+1)*r]
 		sum := 0.0
 		if z := j.Scale; z > 0 {
 			dem := sol.ClientDemand(idx)
 			for i := 0; i < r; i++ {
-				x := dem[i] / z
-				if x < 0 {
-					x = 0
+				v := dem[i] / z
+				if v < 0 {
+					v = 0
 				}
-				row[i] = x
-				sum += x
+				row[i] = v
+				sum += v
 			}
 		}
 		if sum > 1 {
@@ -450,20 +470,19 @@ func clusterAllocation(jobs []cluster.Job, c cluster.Cluster, sol *Solution) *cl
 		for i := range row {
 			used[i] += j.Scale * row[i]
 		}
-		a.X[idx] = row
 	}
 	for i := 0; i < r; i++ {
 		if used[i] > c.NumGPUs[i] && used[i] > 0 {
 			f := c.NumGPUs[i] / used[i]
 			for idx := range jobs {
-				a.X[idx][i] *= f
+				x[idx*r+i] *= f
 			}
 		}
 	}
 	for idx, j := range jobs {
-		a.EffThr[idx] = cluster.EffectiveThroughput(j, a.X[idx])
+		eff[idx] = cluster.EffectiveThroughput(j, x[idx*r:(idx+1)*r])
 	}
-	return a
+	return x, eff
 }
 
 // MaxMinObjective evaluates the max-min policy objective — the minimum

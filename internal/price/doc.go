@@ -88,12 +88,14 @@
 // reduction fixes the summation order, cold-start jitter derives from the
 // seed, and best responses are pure functions.
 //
-// # Hybrid mode
+// # Round surface
 //
-// HybridMaxMin feeds the converged market back to the exact LP: the
-// demand supports and binding pattern become a combinatorial basis guess
-// (CrossoverBasis) for cluster.MaxMinFairness, so the simplex warm-starts
-// from the market's near-optimal vertex. The LP result is identical to a
-// cold solve — an unusable basis is repaired or dropped by the solver —
-// only the pivot count changes.
+// ClusterEngine takes deltas only: Upsert and Remove change its client set
+// (a cluster.Roster, which keeps the ascending-ID order current without a
+// per-round sort), and Solve(pool) solves whatever that set is and returns
+// the allocation as cluster.Columns in ascending-ID order. The market is
+// built in that order too, so an allocation depends only on the held
+// clients, never on the order their deltas arrived in. Batch callers with
+// a full client list go through cluster.SyncTo (Policy wraps it for
+// gavelsim's round loop).
 package price

@@ -3,7 +3,6 @@ package price
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"pop/internal/cluster"
@@ -40,7 +39,7 @@ func (o EngineOptions) coldChurnFrac() float64 {
 // Stats counts a price engine's work since creation. The JSON tags fix the
 // wire names popserver's /v1/stats exposes, matching online.Stats' pattern.
 type Stats struct {
-	// Rounds is the number of Step calls that solved.
+	// Rounds is the number of rounds solved.
 	Rounds int `json:"rounds"`
 	// Iterations is the total price-update iterations across rounds;
 	// LastIterations and LastResidual describe the most recent round.
@@ -62,7 +61,7 @@ type Stats struct {
 
 // ClusterEngine maintains a price-discovery allocation for the GPU
 // scheduling policies across rounds: jobs arrive, depart, and change; each
-// Step re-solves the whole market from the previous round's price vector
+// Solve re-solves the whole market from the previous round's price vector
 // (cold on heavy membership churn). It exposes the same round surface as
 // online.ClusterEngine so popserver and round loops can hold either. Not
 // safe for concurrent use.
@@ -72,7 +71,7 @@ type ClusterEngine struct {
 
 	c     cluster.Cluster
 	haveC bool
-	jobs  map[int]cluster.Job
+	jobs  cluster.Roster
 
 	price     []float64
 	havePrice bool
@@ -88,11 +87,7 @@ func NewClusterEngine(c cluster.Cluster, policy ClusterPolicy, opts EngineOption
 	if policy != MaxMinFairness && policy != ProportionalFairness {
 		return nil, fmt.Errorf("price: unsupported cluster policy %v", policy)
 	}
-	e := &ClusterEngine{
-		policy: policy,
-		opts:   opts,
-		jobs:   make(map[int]cluster.Job),
-	}
+	e := &ClusterEngine{policy: policy, opts: opts}
 	e.SetCluster(c)
 	return e, nil
 }
@@ -127,34 +122,24 @@ func (e *ClusterEngine) SetCluster(c cluster.Cluster) {
 // Upsert adds job j (keyed by j.ID) or applies a change to it. Unchanged
 // re-submissions are no-ops.
 func (e *ClusterEngine) Upsert(j cluster.Job) {
-	if old, ok := e.jobs[j.ID]; ok {
-		if clusterJobsEqual(old, j) {
-			return
-		}
-		e.jobs[j.ID] = j
+	isNew, changed := e.jobs.Upsert(j)
+	switch {
+	case isNew:
+		e.stats.Arrivals++
+		e.churn++
+	case changed:
 		e.stats.Updates++
-		return
 	}
-	e.jobs[j.ID] = j
-	e.stats.Arrivals++
-	e.churn++
 }
 
 // Remove drops the job.
 func (e *ClusterEngine) Remove(id int) bool {
-	if _, ok := e.jobs[id]; !ok {
+	if !e.jobs.Remove(id) {
 		return false
 	}
-	delete(e.jobs, id)
 	e.stats.Departures++
 	e.churn++
 	return true
-}
-
-func clusterJobsEqual(a, b cluster.Job) bool {
-	return a.Weight == b.Weight && a.Scale == b.Scale && a.NumSteps == b.NumSteps &&
-		a.Priority == b.Priority && a.MemFrac == b.MemFrac &&
-		slices.Equal(a.Throughput, b.Throughput)
 }
 
 // MarkAllDirty drops the carried prices, forcing the next round to solve
@@ -163,82 +148,60 @@ func clusterJobsEqual(a, b cluster.Job) bool {
 func (e *ClusterEngine) MarkAllDirty() { e.havePrice = false }
 
 // NumJobs reports the number of jobs currently held.
-func (e *ClusterEngine) NumJobs() int { return len(e.jobs) }
+func (e *ClusterEngine) NumJobs() int { return e.jobs.Len() }
 
-// Jobs returns the live jobs in ascending-ID order.
-func (e *ClusterEngine) Jobs() []cluster.Job {
-	out := make([]cluster.Job, 0, len(e.jobs))
-	for _, j := range e.jobs {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
-}
-
-// Cluster returns the current resource pool.
-func (e *ClusterEngine) Cluster() cluster.Cluster { return e.c }
+// IDs returns the held job IDs in ascending order.
+func (e *ClusterEngine) IDs() []int { return e.jobs.IDs() }
 
 // Stats returns the engine's work counters.
 func (e *ClusterEngine) Stats() Stats { return e.stats }
 
-// Objective reports the policy objective of the last Step: the minimum
+// Objective reports the policy objective of the last round: the minimum
 // normalized ratio under max-min fairness, Σ w·log(thr) under proportional
 // fairness.
 func (e *ClusterEngine) Objective() float64 { return e.lastObj }
 
-// Step applies the diff between engine state and the active set, solves
-// the market warm from the previous round's prices (cold on heavy churn),
-// and returns the allocation in active-set order.
-func (e *ClusterEngine) Step(active []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
-	span := e.obs().Span("price.round").Arg("clients", len(active))
+// Solve installs pool (see SetCluster), solves the market over the held
+// jobs warm from the previous round's prices (cold on heavy churn), and
+// returns the allocation in ascending-ID order. The market is built in that
+// order too, so an allocation depends only on the held jobs, never on the
+// order their deltas arrived in.
+func (e *ClusterEngine) Solve(pool cluster.Cluster) (*cluster.Columns, error) {
+	jobs := e.jobs.Ordered()
+	span := e.obs().Span("price.round").Arg("clients", len(jobs))
 	defer span.End()
 	start := time.Now()
 
-	e.SetCluster(c)
-	seen := make(map[int]bool, len(active))
-	for _, j := range active {
-		seen[j.ID] = true
-		e.Upsert(j)
-	}
-	for id := range e.jobs {
-		if !seen[id] {
-			e.Remove(id)
-		}
-	}
-
-	so, warm := e.solverOptions(len(e.jobs), e.c.NumTypes())
-	var (
-		alloc *cluster.Allocation
-		sol   *Solution
-		err   error
-	)
-	if e.policy == ProportionalFairness {
-		alloc, sol, err = SolvePropFair(active, e.c, so)
-	} else {
-		alloc, sol, err = SolveMaxMin(active, e.c, so)
-	}
+	e.SetCluster(pool)
+	so, warm := e.solverOptions(len(jobs), e.c.NumTypes())
+	x, eff, sol, err := solveColumns(e.policy, jobs, e.c, so)
 	if err != nil {
 		return nil, err
 	}
 	e.price = sol.Price
 	e.havePrice = true
 	e.churn = 0
-	e.bookRound(sol, warm, start)
+	bookRound(&e.stats, e.obs(), sol, warm, start)
 
 	if e.policy == ProportionalFairness {
-		e.lastObj = cluster.LogUtility(active, alloc)
+		e.lastObj = cluster.LogUtility(jobs, &cluster.Allocation{EffThr: eff})
 	} else {
-		e.lastObj = MaxMinObjective(active, e.c, alloc)
+		e.lastObj = MaxMinObjective(jobs, e.c, &cluster.Allocation{EffThr: eff})
 	}
 	span.Arg("warm", warm).Arg("iterations", sol.Iterations)
-	return alloc, nil
+	return &cluster.Columns{IDs: e.jobs.IDs(), EffThr: eff, X: x}, nil
 }
 
 // Policy adapts the engine to gavelsim's round loop, like
 // online.ClusterEngine.Policy.
 func (e *ClusterEngine) Policy() func(jobs []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
 	return func(jobs []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error) {
-		return e.Step(jobs, c)
+		cluster.SyncTo(e, jobs)
+		cols, err := e.Solve(c)
+		if err != nil {
+			return nil, err
+		}
+		return cols.For(jobs), nil
 	}
 }
 
@@ -254,10 +217,6 @@ func (e *ClusterEngine) solverOptions(clients, resources int) (Options, bool) {
 		so.WarmPrice = nil
 	}
 	return so, warm
-}
-
-func (e *ClusterEngine) bookRound(sol *Solution, warm bool, start time.Time) {
-	bookRound(&e.stats, e.obs(), sol, warm, start)
 }
 
 func bookRound(st *Stats, o *obs.Observer, sol *Solution, warm bool, start time.Time) {

@@ -27,7 +27,7 @@ func stepRounds(t *testing.T, e *ClusterEngine, c cluster.Cluster, rounds int) [
 			jobs = append(jobs[2:], fresh...)
 			jobs[0].Weight *= 1.1
 		}
-		a, err := e.Step(jobs, c)
+		a, err := e.Policy()(jobs, c)
 		if err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}
@@ -85,7 +85,7 @@ func TestClusterEngineChurnFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := cluster.GenerateJobs(80, 3, 0.3)
-	if _, err := e.Step(jobs, c); err != nil {
+	if _, err := e.Policy()(jobs, c); err != nil {
 		t.Fatal(err)
 	}
 	// Replace half the jobs: membership churn 50% ≥ the default 25% drops
@@ -94,7 +94,7 @@ func TestClusterEngineChurnFallback(t *testing.T) {
 	for i := range fresh {
 		fresh[i].ID = 20_000 + i
 	}
-	if _, err := e.Step(append(jobs[40:], fresh...), c); err != nil {
+	if _, err := e.Policy()(append(jobs[40:], fresh...), c); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
@@ -103,7 +103,7 @@ func TestClusterEngineChurnFallback(t *testing.T) {
 	}
 
 	// A third, low-churn round goes warm again.
-	if _, err := e.Step(append(jobs[40:], fresh...), c); err != nil {
+	if _, err := e.Policy()(append(jobs[40:], fresh...), c); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.WarmPriceRounds != 1 {
@@ -118,13 +118,13 @@ func TestClusterEngineCapacityRescale(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := cluster.GenerateJobs(60, 9, 0.3)
-	if _, err := e.Step(jobs, c); err != nil {
+	if _, err := e.Policy()(jobs, c); err != nil {
 		t.Fatal(err)
 	}
 	p := append([]float64(nil), e.price...)
 	// Halving every capacity doubles the carried prices and stays warm.
 	c2 := cluster.NewCluster(8, 8, 8)
-	if _, err := e.Step(jobs, c2); err != nil {
+	if _, err := e.Policy()(jobs, c2); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
@@ -134,7 +134,7 @@ func TestClusterEngineCapacityRescale(t *testing.T) {
 	_ = p
 	// MarkAllDirty forces the next round cold.
 	e.MarkAllDirty()
-	if _, err := e.Step(jobs, c2); err != nil {
+	if _, err := e.Policy()(jobs, c2); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.ColdPriceRounds != 2 {

@@ -32,7 +32,7 @@ func (s *ClusterState) Marshal() ([]byte, error) { return json.Marshal(s) }
 func (e *ClusterEngine) Snapshot() *ClusterState {
 	st := &ClusterState{
 		Policy: e.policy.String(),
-		Jobs:   e.Jobs(),
+		Jobs:   e.jobs.Ordered(),
 		Stats:  e.stats,
 	}
 	if e.haveC {
@@ -52,9 +52,9 @@ func (e *ClusterEngine) Restore(st *ClusterState) error {
 	if st.Policy != e.policy.String() {
 		return fmt.Errorf("price: snapshot policy %q does not match engine policy %q", st.Policy, e.policy)
 	}
-	e.jobs = make(map[int]cluster.Job, len(st.Jobs))
+	e.jobs = cluster.Roster{}
 	for _, j := range st.Jobs {
-		e.jobs[j.ID] = j
+		e.jobs.Upsert(j)
 	}
 	e.price = slices.Clone(st.Price)
 	e.havePrice = len(st.Price) > 0

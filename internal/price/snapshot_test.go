@@ -34,11 +34,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		jobs = append(jobs, snapJob(id, rnd))
 	}
 	for r := 0; r < 3; r++ {
-		if _, err := donor.Step(jobs[:24+2*r], c); err != nil {
+		if _, err := donor.Policy()(jobs[:24+2*r], c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := donor.Step(jobs, c); err != nil {
+	if _, err := donor.Policy()(jobs, c); err != nil {
 		t.Fatal(err)
 	}
 
@@ -63,11 +63,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	// Step donor and clone from the identical carried state: the solves are
 	// deterministic, so the allocations must agree exactly.
 	before := restored.Stats()
-	got, err := restored.Step(jobs, c)
+	got, err := restored.Policy()(jobs, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := donor.Step(jobs, c)
+	want, err := donor.Policy()(jobs, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSnapshotRestoreRejectsPolicyMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	rnd := rand.New(rand.NewSource(1))
-	if _, err := donor.Step([]cluster.Job{snapJob(0, rnd), snapJob(1, rnd)}, c); err != nil {
+	if _, err := donor.Policy()([]cluster.Job{snapJob(0, rnd), snapJob(1, rnd)}, c); err != nil {
 		t.Fatal(err)
 	}
 	other, err := NewClusterEngine(c, ProportionalFairness, EngineOptions{Solver: Options{Seed: 1}})

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -43,23 +44,18 @@ func (o CoordinatorOptions) deadline() time.Duration {
 	return o.Deadline
 }
 
-// allocRow is one client's slice of a worker's last gathered allocation.
-type allocRow struct {
-	x      []float64
-	effThr float64
-}
-
 // workerConn is the coordinator's view of one shard worker: its address,
-// the last round it acked, the allocation it last returned, and the
-// mutation batch queued for it. Batches clear only on ack — a straggling or
-// crashed worker's batch is re-sent (idempotently) until a round lands.
+// the registry clients hashed onto it, the last round it acked, the
+// allocation it last returned, and the mutation batch queued for it.
+// Batches clear only on ack — a straggling or crashed worker's batch is
+// re-sent (idempotently) until a round lands.
 type workerConn struct {
 	url      string
 	ackRound int
 	stale    bool
 	needSync bool
-	alloc    map[int]allocRow
-	numOwned int // registry clients hashed onto this worker
+	jobs     cluster.Roster
+	cols     *cluster.Columns // nil until the worker's first acked round
 	kind     string
 	stats    json.RawMessage
 	solveMs  float64
@@ -88,23 +84,21 @@ type WorkerStatus struct {
 
 // Coordinator fans scheduling rounds out over shard-worker processes. It
 // consistent-hashes clients onto workers, keeps the authoritative client
-// registry (the rebuild source for a crashed worker), and runs each round
-// as a deadline-bounded scatter/gather. It satisfies Engine, so popserver
-// drives it exactly like an in-process engine. Not safe for concurrent use
-// (popserver serializes rounds under its engine mutex).
+// registry (one roster per worker: the rebuild source for a crashed
+// worker), and runs each round as a deadline-bounded scatter/gather. It
+// satisfies Engine, so popserver drives it exactly like an in-process
+// engine. Not safe for concurrent use (popserver serializes rounds under
+// its engine mutex).
 type Coordinator struct {
 	opts   CoordinatorOptions
 	log    *slog.Logger
 	client *http.Client
 	ring   *Ring
 
-	workers  []*workerConn
-	registry map[int]cluster.Job
-	round    int
-	c        cluster.Cluster
-	haveC    bool
+	workers []*workerConn
+	round   int
+	c       cluster.Cluster
 
-	lastStale []bool
 	staleJobs int
 }
 
@@ -121,17 +115,15 @@ func NewCoordinator(workerURLs []string, opts CoordinatorOptions) (*Coordinator,
 		client = &http.Client{}
 	}
 	c := &Coordinator{
-		opts:     opts,
-		log:      opts.Log,
-		client:   client,
-		ring:     NewRing(len(workerURLs)),
-		workers:  make([]*workerConn, len(workerURLs)),
-		registry: make(map[int]cluster.Job),
+		opts:    opts,
+		log:     opts.Log,
+		client:  client,
+		ring:    NewRing(len(workerURLs)),
+		workers: make([]*workerConn, len(workerURLs)),
 	}
 	for i, u := range workerURLs {
 		c.workers[i] = &workerConn{
 			url:    u,
-			alloc:  map[int]allocRow{},
 			pendUp: map[int]cluster.Job{},
 			pendRm: map[int]bool{},
 		}
@@ -139,66 +131,48 @@ func NewCoordinator(workerURLs []string, opts CoordinatorOptions) (*Coordinator,
 	return c, nil
 }
 
-// NumWorkers reports the shard count.
-func (c *Coordinator) NumWorkers() int { return len(c.workers) }
-
-// Round reports the last completed round.
-func (c *Coordinator) Round() int { return c.round }
-
-// Owner reports which worker a client id hashes to.
-func (c *Coordinator) Owner(id int) int { return c.ring.Owner(id) }
-
 // Upsert registers (or updates) a client and queues the mutation for its
-// shard's next round.
+// shard's next round. An unchanged re-submission is a no-op.
 func (c *Coordinator) Upsert(j cluster.Job) {
 	w := c.workers[c.ring.Owner(j.ID)]
-	if _, known := c.registry[j.ID]; !known {
-		w.numOwned++
+	if _, changed := w.jobs.Upsert(j); !changed {
+		return
 	}
-	c.registry[j.ID] = j
 	w.pendUp[j.ID] = j
 	delete(w.pendRm, j.ID)
 }
 
 // Remove drops a client from the registry and queues the removal.
 func (c *Coordinator) Remove(id int) bool {
-	if _, ok := c.registry[id]; !ok {
+	w := c.workers[c.ring.Owner(id)]
+	if !w.jobs.Remove(id) {
 		return false
 	}
-	delete(c.registry, id)
-	w := c.workers[c.ring.Owner(id)]
-	w.numOwned--
 	w.pendRm[id] = true
 	delete(w.pendUp, id)
 	return true
 }
 
-// Jobs returns the registered clients in ascending-ID order.
-func (c *Coordinator) Jobs() []cluster.Job {
-	out := make([]cluster.Job, 0, len(c.registry))
-	for _, j := range c.registry {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
-}
-
 // NumJobs reports the registered client count.
-func (c *Coordinator) NumJobs() int { return len(c.registry) }
-
-// SetCluster installs a new resource pool; workers receive their 1/W slice
-// with the next round's scatter.
-func (c *Coordinator) SetCluster(pool cluster.Cluster) {
-	c.c = pool
-	c.haveC = true
+func (c *Coordinator) NumJobs() int {
+	n := 0
+	for _, w := range c.workers {
+		n += w.jobs.Len()
+	}
+	return n
 }
 
-// LastStale returns the per-client stale flags of the last Step, aligned
-// with its active slice: true when the client's worker missed the round
-// deadline (the row is last round's allocation) or has no row for it yet.
-func (c *Coordinator) LastStale() []bool { return c.lastStale }
+// IDs returns the registered client IDs in ascending order.
+func (c *Coordinator) IDs() []int {
+	ids := make([]int, 0, c.NumJobs())
+	for _, w := range c.workers {
+		ids = append(ids, w.jobs.IDs()...)
+	}
+	slices.Sort(ids)
+	return ids
+}
 
-// StaleJobs reports how many clients the last Step served stale.
+// StaleJobs reports how many clients the last Solve served stale.
 func (c *Coordinator) StaleJobs() int { return c.staleJobs }
 
 // Status snapshots every worker's externally visible state.
@@ -227,27 +201,15 @@ type gatherResult struct {
 	rebuilds int64
 }
 
-// Step applies the diff between the registry and the active set, then runs
-// one scatter/gather round: each worker gets its shard's mutation batch and
-// 1/W of the pool, solves its partition on its own persistent engine, and
-// returns its allocation. Workers that miss the deadline (or fail) keep
-// serving last round's rows, flagged stale; a worker that reports being out
-// of sync is rebuilt from the registry first, inside the same deadline.
-func (c *Coordinator) Step(active []cluster.Job, pool cluster.Cluster) (*cluster.Allocation, error) {
-	c.SetCluster(pool)
-	seen := make(map[int]bool, len(active))
-	for _, j := range active {
-		seen[j.ID] = true
-		if old, ok := c.registry[j.ID]; !ok || !jobsEqual(old, j) {
-			c.Upsert(j)
-		}
-	}
-	for id := range c.registry {
-		if !seen[id] {
-			c.Remove(id)
-		}
-	}
-
+// Solve runs one scatter/gather round over pool: each worker gets its
+// shard's mutation batch and 1/W of the pool, solves its partition on its
+// own persistent engine, and returns its allocation. Workers that miss the
+// deadline (or fail) keep serving last round's rows, flagged stale; a
+// worker that reports being out of sync is rebuilt from the registry first,
+// inside the same deadline. The merged allocation covers every registered
+// client in ascending-ID order, with Stale set.
+func (c *Coordinator) Solve(pool cluster.Cluster) (*cluster.Columns, error) {
+	c.c = pool
 	c.round++
 	round := c.round
 	sub := pool.Split(len(c.workers))
@@ -306,33 +268,21 @@ func (c *Coordinator) Step(active []cluster.Job, pool cluster.Cluster) (*cluster
 		// A worker holding a different client count than the registry says
 		// it owns has zombie or missing clients (e.g. the coordinator
 		// restarted with a cold registry); reconcile it next round.
-		w.needSync = resp.NumJobs != w.numOwned
-		width := 0
-		if len(resp.IDs) > 0 && len(resp.X) > 0 {
-			width = len(resp.X) / len(resp.IDs)
-		}
-		alloc := make(map[int]allocRow, len(resp.IDs))
-		for k, id := range resp.IDs {
-			row := allocRow{effThr: resp.EffThr[k]}
-			if width > 0 {
-				row.x = resp.X[k*width : (k+1)*width]
-			}
-			alloc[id] = row
-		}
-		w.alloc = alloc
+		w.needSync = resp.NumJobs != w.jobs.Len()
+		w.cols = &cluster.Columns{IDs: resp.IDs, EffThr: resp.EffThr, X: resp.X}
 		o.Histogram(`pop_shard_worker_seconds{worker="`+strconv.Itoa(i)+`"}`,
 			"per-worker round latency as observed by the coordinator").Observe(resp.SolveMs / 1000)
 	}
 
-	out, stale, staleJobs := c.merge(active)
-	c.lastStale, c.staleJobs = stale, staleJobs
+	out := c.merge()
+	staleJobs := c.staleJobs
 	dur := time.Since(start)
 	o.Counter("pop_shard_rounds_total", "completed scatter/gather rounds").Inc()
 	o.Histogram("pop_shard_gather_seconds", "scatter/gather round wall time").Observe(dur.Seconds())
 	o.Gauge("pop_shard_stale_jobs", "clients served a stale allocation in the last round").Set(float64(staleJobs))
 	o.Gauge("pop_shard_stale_workers", "workers stale after the last round").Set(float64(stragglers))
 	span.Arg("stragglers", stragglers).Arg("stale_jobs", staleJobs).End()
-	c.log.Info("shard round", "round", round, "jobs", len(active),
+	c.log.Info("shard round", "round", round, "jobs", len(out.IDs),
 		"stragglers", stragglers, "stale_jobs", staleJobs,
 		"gather_ms", float64(dur.Microseconds())/1000)
 	return out, nil
@@ -368,6 +318,9 @@ func (c *Coordinator) gatherOne(ctx context.Context, i, round int, sub cluster.C
 	}
 	if status != http.StatusOK {
 		return gatherResult{err: fmt.Errorf("round status %d", status), rebuilds: rebuilds}
+	}
+	if err := checkColumns(&resp, sub.NumTypes()); err != nil {
+		return gatherResult{err: err, rebuilds: rebuilds}
 	}
 	return gatherResult{resp: &resp, rebuilds: rebuilds}
 }
@@ -410,17 +363,9 @@ func (c *Coordinator) buildRound(i, round int, sub cluster.Cluster) *RoundReques
 // them idempotently).
 func (c *Coordinator) syncWorker(ctx context.Context, i, baseRound int, sub cluster.Cluster) error {
 	w := c.workers[i]
-	ids := make([]int, 0, w.numOwned)
-	for id := range c.registry {
-		if c.ring.Owner(id) == i {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
 	req := &SyncRequest{Round: baseRound, TypeNames: sub.TypeNames, GPUs: sub.NumGPUs}
-	req.Jobs = make([]JobSpec, len(ids))
-	for k, id := range ids {
-		req.Jobs[k] = SpecOf(c.registry[id])
+	for _, j := range w.jobs.Ordered() {
+		req.Jobs = append(req.Jobs, SpecOf(j))
 	}
 	var resp SyncResponse
 	status, err := c.post(ctx, w.url+PathSync, req, &resp)
@@ -436,38 +381,84 @@ func (c *Coordinator) syncWorker(ctx context.Context, i, baseRound int, sub clus
 	return nil
 }
 
-// merge composes the per-worker allocations onto the active order — POP's
-// reduce step across processes. Clients of stale workers get their last
-// gathered row (or a zero row if the worker never allocated them), flagged.
-func (c *Coordinator) merge(active []cluster.Job) (*cluster.Allocation, []bool, int) {
+// checkColumns rejects a gathered allocation the merge cannot use: columns
+// of unequal length, rows that are not r wide, or ids out of ascending
+// order.
+func checkColumns(resp *RoundResponse, r int) error {
+	n := len(resp.IDs)
+	if len(resp.EffThr) != n || (len(resp.X) != 0 && len(resp.X) != n*r) {
+		return fmt.Errorf("malformed round response: %d ids, %d eff_thr, %d x for %d types",
+			n, len(resp.EffThr), len(resp.X), r)
+	}
+	for k := 1; k < n; k++ {
+		if resp.IDs[k] <= resp.IDs[k-1] {
+			return fmt.Errorf("malformed round response: ids not ascending at row %d", k)
+		}
+	}
+	return nil
+}
+
+// merge composes the workers' columns into one ascending-ID view — POP's
+// reduce step across processes — by merging the workers' registry rosters
+// and joining each with the columns its worker last returned. A client of a
+// stale worker gets its last gathered row, flagged; a client its worker has
+// never allocated gets a zero row, flagged; rows for clients the registry
+// no longer holds are dropped. It records the stale count in c.staleJobs.
+func (c *Coordinator) merge() *cluster.Columns {
 	r := c.c.NumTypes()
-	out := &cluster.Allocation{
-		X:      make([][]float64, len(active)),
-		EffThr: make([]float64, len(active)),
+	n := c.NumJobs()
+	out := &cluster.Columns{
+		IDs:    make([]int, 0, n),
+		EffThr: make([]float64, 0, n),
+		Stale:  make([]bool, 0, n),
 	}
-	stale := make([]bool, len(active))
-	staleJobs, haveX := 0, false
-	for pos, j := range active {
-		w := c.workers[c.ring.Owner(j.ID)]
-		row, ok := w.alloc[j.ID]
-		if ok && row.x != nil {
-			haveX = true
-			out.X[pos] = append([]float64(nil), row.x...)
-		} else {
-			out.X[pos] = make([]float64, r)
-		}
-		if ok {
-			out.EffThr[pos] = row.effThr
-		}
-		if w.stale || !ok {
-			stale[pos] = true
-			staleJobs++
+	for _, w := range c.workers {
+		if w.cols != nil && len(w.cols.X) > 0 {
+			out.X = make([]float64, 0, n*r)
+			break
 		}
 	}
-	if !haveX {
-		out.X = nil
+	owned := make([][]int, len(c.workers)) // each worker's registry ids, ascending
+	for i, w := range c.workers {
+		owned[i] = w.jobs.IDs()
 	}
-	return out, stale, staleJobs
+	next := make([]int, len(c.workers)) // cursor into owned[i]
+	zeros := make([]float64, r)
+	c.staleJobs = 0
+	for {
+		i := -1
+		for k := range c.workers {
+			if next[k] < len(owned[k]) && (i < 0 || owned[k][next[k]] < owned[i][next[i]]) {
+				i = k
+			}
+		}
+		if i < 0 {
+			break
+		}
+		w, id := c.workers[i], owned[i][next[i]]
+		next[i]++
+		eff, x, found := 0.0, zeros, false
+		if w.cols != nil {
+			var k int
+			if k, found = w.cols.Find(id); found {
+				eff = w.cols.EffThr[k]
+				if len(w.cols.X) > 0 {
+					x = w.cols.Row(k)
+				}
+			}
+		}
+		stale := w.stale || !found
+		if stale {
+			c.staleJobs++
+		}
+		out.IDs = append(out.IDs, id)
+		out.EffThr = append(out.EffThr, eff)
+		out.Stale = append(out.Stale, stale)
+		if out.X != nil {
+			out.X = append(out.X, x...)
+		}
+	}
+	return out
 }
 
 // post sends one JSON request and decodes the JSON answer, returning the
@@ -500,19 +491,4 @@ func (c *Coordinator) post(ctx context.Context, url string, in, out any) (int, e
 		return resp.StatusCode, fmt.Errorf("%s: bad response: %w", url, err)
 	}
 	return resp.StatusCode, nil
-}
-
-// jobsEqual mirrors online.ClusterEngine's unchanged-resubmission check so
-// the coordinator's no-op detection matches the engines'.
-func jobsEqual(a, b cluster.Job) bool {
-	if a.Weight != b.Weight || a.Scale != b.Scale || a.NumSteps != b.NumSteps ||
-		a.Priority != b.Priority || a.MemFrac != b.MemFrac || len(a.Throughput) != len(b.Throughput) {
-		return false
-	}
-	for i := range a.Throughput {
-		if a.Throughput[i] != b.Throughput[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -21,22 +21,27 @@
 //
 // # Round protocol
 //
-// A round is one scatter/gather (Coordinator.Step):
+// Every layer takes deltas, never a full client list: Engine is
+// Upsert/Remove plus Solve(pool), which returns one cluster.Columns view in
+// the column layout RoundResponse carries, so each layer passes it along
+// instead of rebuilding it. A round (Coordinator.Solve) is one
+// scatter/gather:
 //
-//  1. The coordinator diffs the submitted active set against its
-//     authoritative client registry and queues per-worker mutation
-//     batches (sorted by id, so every engine sees the same order the
-//     single-process engine would).
+//  1. Each queued submission or removal lands in the owning worker's
+//     registry roster and mutation batch (unchanged re-submissions are
+//     no-ops).
 //  2. Scatter: each worker receives RoundRequest{Round, PrevRound,
-//     batch, its 1/W capacity slice} under a per-round deadline.
-//  3. Workers apply the batch to their engine, solve, and return the
-//     allocation in columnar form (ids, effective throughputs, one
-//     flattened X row per client) — at serving scale the JSON shape is
-//     first-order.
-//  4. Gather/merge: rows are recombined in active-set order.
+//     batch sorted by id, its 1/W capacity slice} under a per-round
+//     deadline, so every engine sees the order a single-process engine fed
+//     the same deltas would.
+//  3. Workers apply the batch, Solve, and write the columns to the wire as
+//     they are — at serving scale the JSON shape is first-order.
+//  4. Gather/merge: the workers' rosters merge in ascending-id order, each
+//     joined with its worker's columns.
 //
 // Mutations are idempotent, and a batch stays queued until the owning
-// worker acknowledges the round that carried it.
+// worker acknowledges the round that carried it. cluster.SyncTo is the one
+// full-list diff: batch callers use it, and so does a worker's reconcile.
 //
 // # Failure model
 //

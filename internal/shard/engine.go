@@ -15,11 +15,18 @@ import (
 // drives: the incremental LP engine (online.ClusterEngine), the
 // price-discovery engine (price.ClusterEngine), and the sharded Coordinator
 // itself all satisfy it, so every deployment shape runs the same round loop.
+// Deltas are the only input: Upsert and Remove mutate the engine's client
+// set, and Solve allocates whatever that set is, returning one columnar view
+// in ascending-ID order. Callers holding a full client list instead of
+// deltas go through cluster.SyncTo.
 type Engine interface {
 	Upsert(cluster.Job)
 	Remove(id int) bool
-	Jobs() []cluster.Job
-	Step(active []cluster.Job, c cluster.Cluster) (*cluster.Allocation, error)
+	// NumJobs reports the held client count.
+	NumJobs() int
+	// IDs returns the held client IDs in ascending order.
+	IDs() []int
+	Solve(pool cluster.Cluster) (*cluster.Columns, error)
 }
 
 // EngineBundle is a constructed policy engine plus the capability hooks the

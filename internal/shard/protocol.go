@@ -2,9 +2,15 @@ package shard
 
 import (
 	"encoding/json"
+	"time"
 
 	"pop/internal/cluster"
 )
+
+// ReadHeaderTimeout bounds how long the servers on either side of this
+// protocol (and popserver's own API) wait for a request's headers, so a
+// client that opens a connection and stalls cannot pin it forever.
+const ReadHeaderTimeout = 10 * time.Second
 
 // Wire paths of the coordinator↔worker protocol. HTTP/JSON matches the
 // popserver idiom: the same tooling (curl, httptest) drives both surfaces.

@@ -87,6 +87,14 @@ func randJob(id int, rnd *rand.Rand) cluster.Job {
 	}
 }
 
+// step syncs e to the full client list and solves one round: the batch
+// surface these tests drive both the coordinator and the reference engines
+// through.
+func step(e Engine, list []cluster.Job, pool cluster.Cluster) (*cluster.Columns, error) {
+	cluster.SyncTo(e, list)
+	return e.Solve(pool)
+}
+
 func sortedJobs(live map[int]cluster.Job) []cluster.Job {
 	out := make([]cluster.Job, 0, len(live))
 	for _, j := range live {
@@ -157,7 +165,7 @@ func runEquivalence(t *testing.T, policy string, numWorkers, rounds int, seed in
 		churn(live, &nextID, rnd)
 		active := sortedJobs(live)
 
-		got, err := coord.Step(active, c)
+		got, err := step(coord, active, c)
 		if err != nil {
 			t.Fatalf("round %d: sharded step: %v", round, err)
 		}
@@ -180,15 +188,13 @@ func runEquivalence(t *testing.T, policy string, numWorkers, rounds int, seed in
 			if len(shardActive) == 0 {
 				continue
 			}
-			alloc, err := refs[w].Step(shardActive, sub)
+			alloc, err := step(refs[w], shardActive, sub)
 			if err != nil {
 				t.Fatalf("round %d: reference shard %d: %v", round, w, err)
 			}
 			for i, j := range shardActive {
 				r := row{effThr: alloc.EffThr[i]}
-				if alloc.X != nil {
-					r.x = alloc.X[i]
-				}
+				r.x = alloc.Row(i)
 				want[j.ID] = r
 			}
 		}
@@ -205,7 +211,7 @@ func runEquivalence(t *testing.T, policy string, numWorkers, rounds int, seed in
 			}
 			if ref.x != nil {
 				for k := range ref.x {
-					if d := math.Abs(got.X[pos][k] - ref.x[k]); d > tol {
+					if d := math.Abs(got.Row(pos)[k] - ref.x[k]); d > tol {
 						t.Fatalf("round %d: job %d x[%d] diverged by %g", round, j.ID, k, d)
 					}
 				}
@@ -241,7 +247,7 @@ func TestShardedSpaceSharing(t *testing.T) {
 	for id := 0; id < 10; id++ {
 		live[id] = randJob(id, rnd)
 	}
-	alloc, err := coord.Step(sortedJobs(live), testCluster())
+	alloc, err := step(coord, sortedJobs(live), testCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +279,7 @@ func TestStragglerServesStaleAllocation(t *testing.T) {
 		live[id] = randJob(id, rnd)
 	}
 	active := sortedJobs(live)
-	before, err := coord.Step(active, testCluster())
+	before, err := step(coord, active, testCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,13 +296,13 @@ func TestStragglerServesStaleAllocation(t *testing.T) {
 	live[newID] = randJob(newID, rnd)
 	active = sortedJobs(live)
 	f.handlers[0].delayMs.Store(600)
-	during, err := coord.Step(active, testCluster())
+	during, err := step(coord, active, testCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.handlers[0].delayMs.Store(0)
 
-	stale := coord.LastStale()
+	stale := during.Stale
 	if coord.StaleJobs() == 0 {
 		t.Fatal("straggling worker produced no stale jobs")
 	}
@@ -324,7 +330,7 @@ func TestStragglerServesStaleAllocation(t *testing.T) {
 
 	// Recovery: the re-queued batch lands; the new job gets a real
 	// allocation; no rebuild was needed (straggle is not a crash).
-	after, err := coord.Step(active, testCluster())
+	after, err := step(coord, active, testCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +367,7 @@ func TestKillAndRebuild(t *testing.T) {
 	nextID := 0
 	for round := 0; round < 4; round++ {
 		churn(live, &nextID, rnd)
-		if _, err := coord.Step(sortedJobs(live), testCluster()); err != nil {
+		if _, err := step(coord, sortedJobs(live), testCluster()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -374,7 +380,7 @@ func TestKillAndRebuild(t *testing.T) {
 	// No churn this round: the rebuild sync carries the whole registry and
 	// the retried round applies an empty batch.
 	active := sortedJobs(live)
-	got, err := coord.Step(active, testCluster())
+	got, err := step(coord, active, testCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +407,7 @@ func TestKillAndRebuild(t *testing.T) {
 			shard0 = append(shard0, j)
 		}
 	}
-	refAlloc, err := refB.Engine.Step(shard0, testCluster().Split(numWorkers))
+	refAlloc, err := step(refB.Engine, shard0, testCluster().Split(numWorkers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +425,7 @@ func TestKillAndRebuild(t *testing.T) {
 	}
 
 	// Subsequent rounds run clean: no more syncs.
-	if _, err := coord.Step(active, testCluster()); err != nil {
+	if _, err := step(coord, active, testCluster()); err != nil {
 		t.Fatal(err)
 	}
 	if coord.Status()[0].Rebuilds != 1 {
@@ -445,7 +451,7 @@ func TestWorkerStateFileWarmRejoin(t *testing.T) {
 		live[id] = randJob(id, rnd)
 	}
 	active := sortedJobs(live)
-	before, err := coord.Step(active, testCluster())
+	before, err := step(coord, active, testCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +465,7 @@ func TestWorkerStateFileWarmRejoin(t *testing.T) {
 		t.Fatalf("restored worker at round %d, want %d", got, savedRound)
 	}
 
-	after, err := coord.Step(active, testCluster())
+	after, err := step(coord, active, testCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +524,7 @@ func TestWorkerAuth(t *testing.T) {
 	}
 	rnd := rand.New(rand.NewSource(10))
 	live := map[int]cluster.Job{0: randJob(0, rnd), 1: randJob(1, rnd)}
-	if _, err := coord.Step(sortedJobs(live), testCluster()); err != nil {
+	if _, err := step(coord, sortedJobs(live), testCluster()); err != nil {
 		t.Fatal(err)
 	}
 	if coord.StaleJobs() != 0 {
@@ -535,7 +541,7 @@ func TestWorkerHealth(t *testing.T) {
 	}
 	rnd := rand.New(rand.NewSource(11))
 	live := map[int]cluster.Job{1: randJob(1, rnd), 2: randJob(2, rnd), 3: randJob(3, rnd)}
-	if _, err := coord.Step(sortedJobs(live), testCluster()); err != nil {
+	if _, err := step(coord, sortedJobs(live), testCluster()); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(f.urls[0] + PathHealth)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -88,8 +89,7 @@ func (w *Worker) Handler() http.Handler {
 
 func (w *Worker) handleRound(rw http.ResponseWriter, r *http.Request) {
 	var req RoundRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(rw, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad round request: %v", err)})
+	if !decodeBody(rw, r, &req, "round") {
 		return
 	}
 	w.mu.Lock()
@@ -111,41 +111,14 @@ func (w *Worker) handleRound(rw http.ResponseWriter, r *http.Request) {
 	for _, id := range req.Removes {
 		w.b.Engine.Remove(id)
 	}
-	c := cluster.Cluster{TypeNames: req.TypeNames, NumGPUs: req.GPUs}
-	jobs := w.b.Engine.Jobs()
-	resp := RoundResponse{
-		Round:   req.Round,
-		NumJobs: len(jobs),
-		Kind:    w.b.Kind,
-		IDs:     make([]int, len(jobs)),
-		EffThr:  make([]float64, len(jobs)),
-	}
-	if len(jobs) > 0 {
-		alloc, err := w.b.Engine.Step(jobs, c)
+	resp := RoundResponse{Round: req.Round, NumJobs: w.b.Engine.NumJobs(), Kind: w.b.Kind, IDs: []int{}, EffThr: []float64{}}
+	if resp.NumJobs > 0 {
+		alloc, err := w.b.Engine.Solve(cluster.Cluster{TypeNames: req.TypeNames, NumGPUs: req.GPUs})
 		if err != nil {
 			writeJSON(rw, http.StatusInternalServerError, errorResponse{Error: fmt.Sprintf("round %d failed: %v", req.Round, err)})
 			return
 		}
-		width := 0
-		if alloc.X != nil && len(alloc.X) == len(jobs) {
-			for _, row := range alloc.X {
-				if len(row) > width {
-					width = len(row)
-				}
-			}
-			resp.X = make([]float64, 0, len(jobs)*width)
-		}
-		for i, j := range jobs {
-			resp.IDs[i] = j.ID
-			resp.EffThr[i] = alloc.EffThr[i]
-			if resp.X != nil {
-				row := alloc.X[i]
-				resp.X = append(resp.X, row...)
-				for pad := len(row); pad < width; pad++ {
-					resp.X = append(resp.X, 0)
-				}
-			}
-		}
+		resp.IDs, resp.EffThr, resp.X = alloc.IDs, alloc.EffThr, alloc.X
 	}
 	w.lastRound = req.Round
 	resp.SolveMs = float64(time.Since(start).Microseconds()) / 1000
@@ -157,7 +130,7 @@ func (w *Worker) handleRound(rw http.ResponseWriter, r *http.Request) {
 		o.Histogram("pop_shard_worker_round_seconds", "per-round apply+solve wall time").
 			Observe(time.Since(start).Seconds())
 	}
-	w.log.Debug("shard round", "round", req.Round, "jobs", len(jobs),
+	w.log.Debug("shard round", "round", req.Round, "jobs", resp.NumJobs,
 		"upserts", len(req.Upserts), "removes", len(req.Removes), "solve_ms", resp.SolveMs)
 	w.saveStateAsync()
 	writeJSON(rw, http.StatusOK, resp)
@@ -169,30 +142,17 @@ func (w *Worker) handleRound(rw http.ResponseWriter, r *http.Request) {
 // straggle the coordinator mistook for a crash) is kept.
 func (w *Worker) handleSync(rw http.ResponseWriter, r *http.Request) {
 	var req SyncRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(rw, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad sync request: %v", err)})
+	if !decodeBody(rw, r, &req, "sync") {
 		return
+	}
+	jobs := make([]cluster.Job, len(req.Jobs))
+	for i, s := range req.Jobs {
+		jobs[i] = s.Job()
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	held := make(map[int]bool)
-	for _, j := range w.b.Engine.Jobs() {
-		held[j.ID] = true
-	}
 	resp := SyncResponse{Round: req.Round}
-	for _, s := range req.Jobs {
-		if held[s.ID] {
-			resp.Kept++
-			delete(held, s.ID)
-		} else {
-			resp.Added++
-		}
-		w.b.Engine.Upsert(s.Job())
-	}
-	for id := range held {
-		w.b.Engine.Remove(id)
-		resp.Removed++
-	}
+	resp.Kept, resp.Added, resp.Removed = cluster.SyncTo(w.b.Engine, jobs)
 	w.lastRound = req.Round
 	w.obsCounter("pop_shard_worker_syncs_total", "registry reconciles applied").Inc()
 	w.log.Info("shard sync", "round", req.Round,
@@ -200,9 +160,32 @@ func (w *Worker) handleSync(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, http.StatusOK, resp)
 }
 
+// maxRequestBytes caps a round or sync request body. A sync carries a whole
+// shard's registry, about 150 bytes per client on the wire, so 1 GiB admits
+// several million clients while refusing an unbounded body before it is
+// buffered. A variable only so tests can exercise the cap cheaply.
+var maxRequestBytes int64 = 1 << 30
+
+// decodeBody decodes a size-capped JSON request body into v, answering 413
+// for an oversize body and 400 for a malformed one; it reports whether v
+// is usable.
+func decodeBody(rw http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(rw, code, errorResponse{Error: fmt.Sprintf("bad %s request: %v", what, err)})
+	return false
+}
+
 func (w *Worker) handleHealth(rw http.ResponseWriter, _ *http.Request) {
 	w.mu.Lock()
-	resp := HealthResponse{OK: true, LastRound: w.lastRound, NumJobs: len(w.b.Engine.Jobs()), Kind: w.b.Kind}
+	resp := HealthResponse{OK: true, LastRound: w.lastRound, NumJobs: w.b.Engine.NumJobs(), Kind: w.b.Kind}
 	w.mu.Unlock()
 	writeJSON(rw, http.StatusOK, resp)
 }
@@ -224,7 +207,7 @@ func (w *Worker) SaveState() error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(w.opts.StateFile, st)
+	return WriteFileAtomic(w.opts.StateFile, st)
 }
 
 func (w *Worker) snapshotLocked() ([]byte, error) {
@@ -250,7 +233,7 @@ func (w *Worker) saveStateAsync() {
 	}
 	go func() {
 		defer w.saving.Store(false)
-		if err := writeFileAtomic(w.opts.StateFile, st); err != nil {
+		if err := WriteFileAtomic(w.opts.StateFile, st); err != nil {
 			w.log.Warn("state save failed", "err", err)
 		}
 	}()
@@ -275,14 +258,16 @@ func (w *Worker) restoreState() {
 	}
 	w.lastRound = st.LastRound
 	w.log.Info("state restored", "file", w.opts.StateFile,
-		"round", st.LastRound, "jobs", len(w.b.Engine.Jobs()))
+		"round", st.LastRound, "jobs", w.b.Engine.NumJobs())
 }
 
 func (w *Worker) obsCounter(name, help string) *obs.Counter {
 	return w.opts.Obs.Counter(name, help)
 }
 
-func writeFileAtomic(path string, data []byte) error {
+// WriteFileAtomic replaces path with data through a temporary file in the
+// same directory and a rename, so a crash never leaves a torn state file.
+func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".state-*")
 	if err != nil {

@@ -184,6 +184,13 @@ func TestServerStateFileRestart(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(s2.handler())
 	t.Cleanup(ts2.Close)
+	// Ticks checkpoint in the background; let those writes finish before
+	// the temp dir is removed.
+	t.Cleanup(func() {
+		for s1.saving.Load() || s2.saving.Load() {
+			time.Sleep(time.Millisecond)
+		}
+	})
 
 	// The restored server resumes at the saved round stamp...
 	resp, err := http.Get(ts2.URL + "/healthz")

@@ -30,3 +30,31 @@ func benchBackend(b *testing.B, backend lp.SolverBackend) {
 
 func BenchmarkLPSolveDense(b *testing.B)    { benchBackend(b, lp.Dense) }
 func BenchmarkLPSolveSparseLU(b *testing.B) { benchBackend(b, lp.SparseLU) }
+
+// BenchmarkLURefactor times one SparseLU refactorization of the optimal
+// basis of the cluster and te instances at Medium and Large size: the cost
+// every cold start, warm-basis install and refactor trigger pays.
+func BenchmarkLURefactor(b *testing.B) {
+	for _, in := range gen.All(1) {
+		if in.Size == gen.Small || in.Family == "lb" {
+			continue
+		}
+		var refactor func() bool
+		b.Run(in.Name(), func(b *testing.B) {
+			if refactor == nil { // the solve runs once, not once per b.N probe
+				var err error
+				if refactor, err = lp.OptimalBasisRefactor(in.P); err != nil {
+					b.Fatalf("%s: %v", in.Name(), err)
+				}
+			}
+			b.ReportMetric(float64(in.P.NumConstraints()), "rows")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !refactor() {
+					b.Fatalf("%s: optimal basis reported singular", in.Name())
+				}
+			}
+		})
+	}
+}

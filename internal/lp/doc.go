@@ -38,7 +38,10 @@
 // (candidates within 10× of the column's largest magnitude, preferring the
 // row with the fewest nonzeros) — an approximate Markowitz ordering that
 // keeps fill low on the extremely sparse bases granular allocation LPs
-// produce. Each simplex pivot is then absorbed into the stored U in place
+// produce. The factorization is Gilbert–Peierls style: each column's
+// triangular solve visits only the earlier elimination steps its nonzeros
+// reach, so a refactorization costs time proportional to the factor's
+// nonzeros and flops rather than m² per basis. Each simplex pivot is then absorbed into the stored U in place
 // with a Forrest–Tomlin update: the entering column becomes a spike, the
 // spiked column rotates to the last triangular position, and the leaving
 // row is eliminated by a recorded row transformation — so ftran/btran stay

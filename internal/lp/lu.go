@@ -2,7 +2,7 @@ package lp
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // luFactor is the sparse basis backend: B is factorized as P·B·Q = L·U by
@@ -25,9 +25,15 @@ import (
 //
 // On granular allocation LPs the basis columns hold only a handful of
 // nonzeros each, so per-iteration solve time scales with factor fill rather
-// than denseFactor's m². Refactorization keeps an O(m²) symbolic scan (the
-// left-looking sweep and pivot search touch every row per column) but with
-// a trivial constant — far below dense Gauss-Jordan's m³ flops.
+// than denseFactor's m². Refactorization is Gilbert–Peierls left-looking
+// LU: each column visits only what it can reach. Its rows are loaded into a
+// pattern; every row an earlier step pivoted queues that step in a min-heap,
+// and applying a step adds its L column's rows to the pattern in turn. Steps
+// are applied smallest first (a topological order), and the pivot search
+// and L column run over the column's sorted unpivoted rows. The cost is
+// proportional to the factor's nonzeros and flops, with a log factor for
+// the heap and the sort, and no per-column pass over all m rows or steps.
+// The column order is a counting sort; all scratch lives on the luFactor.
 //
 // Vector-space bookkeeping for the Forrest–Tomlin mode: L's elimination
 // steps are frozen at refactor time and double as row "handles" for U — row
@@ -93,6 +99,15 @@ type luFactor struct {
 	tlist, rlist []int
 	artInd       [1]int32
 	artVal       [1]float64
+
+	// Refactor scratch. mark flags the rows in the pattern of the column
+	// being factored (all false between columns); queue is a min-heap of
+	// the earlier elimination steps they reach, cand their unpivoted rows.
+	// order, colNnz, rowCount and bucket hold the column ordering.
+	mark                  []bool
+	queue, cand           []int
+	order, colNnz, bucket []int
+	rowCount              []int
 }
 
 type luEntry struct {
@@ -153,27 +168,38 @@ func (f *luFactor) refactor() bool {
 		f.udiag = make([]float64, m)
 		f.pr = make([]int, m)
 		f.cperm = make([]int, m)
+		f.mark = make([]bool, m)
+		f.order = make([]int, m)
+		f.colNnz = make([]int, m)
+		f.rowCount = make([]int, m)
+		f.bucket = make([]int, m+1) // a column has at most m nonzeros
 	}
 
 	// Column order: ascending nonzero count (approximate Markowitz), ties
-	// by position for determinism. Row counts feed the pivot tie-break.
-	order := make([]int, m)
-	colNnz := make([]int, m)
-	rowCount := make([]int, m)
+	// by position for determinism — a counting sort, stable over
+	// positions. Row counts feed the pivot tie-break.
+	order, colNnz, rowCount, start := f.order, f.colNnz, f.rowCount, f.bucket
+	clear(rowCount)
+	clear(start)
 	for pos := 0; pos < m; pos++ {
-		order[pos] = pos
 		ind, _ := f.basisCol(pos)
 		colNnz[pos] = len(ind)
 		for _, r := range ind {
 			rowCount[r]++
 		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if colNnz[order[a]] != colNnz[order[b]] {
-			return colNnz[order[a]] < colNnz[order[b]]
-		}
-		return order[a] < order[b]
-	})
+	for _, c := range colNnz {
+		start[c]++
+	}
+	at := 0
+	for c, n := range start {
+		start[c] = at
+		at += n
+	}
+	for pos, c := range colNnz {
+		order[start[c]] = pos
+		start[c]++
+	}
 
 	x := f.x
 	for i := range f.elim {
@@ -182,50 +208,62 @@ func (f *luFactor) refactor() bool {
 	for t := 0; t < m; t++ {
 		pos := order[t]
 		ind, val := f.basisCol(pos)
+		f.queue, f.cand = f.queue[:0], f.cand[:0]
 		for k, r := range ind {
 			x[r] = val[k]
+			if !f.mark[r] {
+				f.touch(int(r))
+			}
 		}
 
-		// Left-looking update: apply every earlier elimination step whose
-		// pivot row currently carries a nonzero. Fill lands only on pivot
-		// rows of later steps, so one ascending scan suffices.
+		// Left-looking update: apply the queued steps whose pivot row
+		// carries a nonzero, smallest step first. A step's fill lands only
+		// on rows that later steps pivot or that are still unpivoted, so
+		// this is a topological order — and the ascending order in which a
+		// scan over every earlier step would apply them.
 		ucol := f.ucols[t][:0]
-		for j := 0; j < t; j++ {
-			xj := x[f.pr[j]]
+		for len(f.queue) > 0 {
+			j := f.popStep()
+			r := f.pr[j]
+			f.mark[r] = false // only steps before j reach row r
+			xj := x[r]
 			if xj == 0 {
 				continue
 			}
 			ucol = append(ucol, luEntry{int32(j), xj})
-			x[f.pr[j]] = 0 // consumed into U
+			x[r] = 0 // consumed into U
 			for _, e := range f.lcols[j] {
 				x[e.idx] -= e.val * xj
+				if !f.mark[e.idx] {
+					f.touch(int(e.idx))
+				}
 			}
 		}
 
-		// Threshold partial pivoting among unpivoted rows: candidates
-		// within 10× of the largest magnitude, preferring the row with the
-		// fewest static nonzeros (Markowitz tie-break), then the smallest
-		// index for determinism.
+		// Threshold partial pivoting among the column's unpivoted rows, in
+		// ascending order: candidates within 10× of the largest magnitude,
+		// preferring the row with the fewest static nonzeros (Markowitz
+		// tie-break), then the smallest index for determinism.
+		cand := f.cand
+		slices.Sort(cand)
 		vmax := 0.0
-		for i := 0; i < m; i++ {
-			if f.elim[i] >= 0 {
-				continue
-			}
+		for _, i := range cand {
+			f.mark[i] = false // the pattern is complete
 			if v := math.Abs(x[i]); v > vmax {
 				vmax = v
 			}
 		}
 		if vmax < 1e-12 {
 			// Singular: zero out scratch before failing.
-			for i := range x {
+			for _, i := range cand {
 				x[i] = 0
 			}
 			f.ucols[t] = ucol
 			return false
 		}
 		piv := -1
-		for i := 0; i < m; i++ {
-			if f.elim[i] >= 0 || math.Abs(x[i]) < 0.1*vmax {
+		for _, i := range cand {
+			if math.Abs(x[i]) < 0.1*vmax {
 				continue
 			}
 			if piv < 0 || rowCount[i] < rowCount[piv] {
@@ -235,8 +273,8 @@ func (f *luFactor) refactor() bool {
 
 		d := x[piv]
 		lcol := f.lcols[t][:0]
-		for i := 0; i < m; i++ {
-			if i == piv || f.elim[i] >= 0 || x[i] == 0 {
+		for _, i := range cand {
+			if i == piv || x[i] == 0 {
 				continue
 			}
 			lcol = append(lcol, luEntry{int32(i), x[i] / d})
@@ -254,6 +292,58 @@ func (f *luFactor) refactor() bool {
 		f.initFT()
 	}
 	return true
+}
+
+// touch adds unmarked row r to the pattern of the column being factored:
+// a row an earlier step pivoted queues that step, any other row becomes a
+// pivot candidate. mark records membership, so each row is added once.
+func (f *luFactor) touch(r int) {
+	f.mark[r] = true
+	j := f.elim[r]
+	if j < 0 {
+		f.cand = append(f.cand, r)
+		return
+	}
+	q := append(f.queue, j) // sift up: queue is a binary min-heap
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if q[p] <= j {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = j
+	f.queue = q
+}
+
+// popStep removes and returns the smallest queued step.
+func (f *luFactor) popStep() int {
+	q := f.queue
+	top, n := q[0], len(q)-1
+	last := q[n]
+	q = q[:n]
+	i := 0
+	for { // sift down
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1] < q[c] {
+			c++
+		}
+		if last <= q[c] {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	f.queue = q
+	return top
 }
 
 // initFT (re)derives the Forrest–Tomlin bookkeeping from a fresh

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short test-race test-perfbench vet lint fmt-check bench-lp bench-online bench-milp bench-price bench-serve bench ci
+.PHONY: all build test test-short test-race test-perfbench vet lint fmt-check bench-lp bench-online bench-milp bench-price bench ci
 
 all: build
 
@@ -60,12 +60,6 @@ bench-milp:
 # cluster and lb online rounds, plus price-only scale rows up to 1M clients).
 bench-price:
 	$(GO) run ./cmd/pricebench -reps 3 -o BENCH_price.json
-
-# bench-serve regenerates BENCH_serve.json, the sharded serving trajectory:
-# coordinator scatter/gather rounds over real shard-worker subprocesses at
-# shard counts 1/2/4, 1M simulated clients under steady churn.
-bench-serve:
-	$(GO) run ./cmd/servebench -big -o BENCH_serve.json
 
 # bench runs the paper-evaluation benchmark suite at Small scale.
 bench:

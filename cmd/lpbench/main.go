@@ -1,10 +1,9 @@
 // Command lpbench times the lp solver's Dense and SparseLU backends on the
 // case-study-shaped instances from internal/lp/gen and writes a JSON
-// regression record (BENCH_lp.json via `make bench-lp`), so every PR has a
-// perf trajectory to compare against. The SparseLU backend is timed twice:
-// with the default Forrest–Tomlin update strategy and with the legacy
-// product-form eta file, so the in-place update's per-pivot win is recorded
-// against its own baseline in the same run (pivot_ns vs eta_pivot_ns).
+// regression record (BENCH_lp.json via `make bench-lp`), so every change has
+// a perf trajectory to compare against. pivot_ns is the SparseLU solve time
+// per pivot: the number the basis-update work lands in, independent of
+// pivot-count changes.
 //
 // Usage:
 //
@@ -44,17 +43,11 @@ type record struct {
 	Nonzeros   int     `json:"nonzeros"`
 	DenseNs    int64   `json:"dense_ns"`
 	SparseLUNs int64   `json:"sparselu_ns"`
-	EtaNs      int64   `json:"eta_ns"`
 	Speedup    float64 `json:"speedup"`
 	Objective  float64 `json:"objective"`
 	ObjAgree   bool    `json:"objectives_agree"`
 	Iterations int     `json:"iterations_sparselu"`
-	IterEta    int     `json:"iterations_eta"`
-	// Per-pivot solve cost of the SparseLU backend under the default
-	// Forrest–Tomlin updates and under the legacy eta file: the number the
-	// basis-update work lands in, independent of pivot-count changes.
 	PivotNs    float64 `json:"pivot_ns"`
-	EtaPivotNs float64 `json:"eta_pivot_ns"`
 }
 
 type report struct {
@@ -99,24 +92,20 @@ func main() {
 			Cols:     in.P.NumVariables(),
 			Nonzeros: in.P.NumNonzeros(),
 		}
-		var dObj, sObj, eObj float64
+		var dObj, sObj float64
 		r.DenseNs, dObj, _ = timeSolve(in.P, lp.Options{Backend: lp.Dense}, *reps)
 		r.SparseLUNs, sObj, r.Iterations = timeSolve(in.P, lp.Options{Backend: lp.SparseLU}, *reps)
-		r.EtaNs, eObj, r.IterEta = timeSolve(in.P, lp.Options{Backend: lp.SparseLU, Update: lp.EtaUpdate}, *reps)
 		r.Objective = sObj
-		r.ObjAgree = approxEq(dObj, sObj, 1e-6) && approxEq(eObj, sObj, 1e-6)
+		r.ObjAgree = approxEq(dObj, sObj, 1e-6)
 		if r.SparseLUNs > 0 {
 			r.Speedup = float64(r.DenseNs) / float64(r.SparseLUNs)
 		}
 		if r.Iterations > 0 {
 			r.PivotNs = float64(r.SparseLUNs) / float64(r.Iterations)
 		}
-		if r.IterEta > 0 {
-			r.EtaPivotNs = float64(r.EtaNs) / float64(r.IterEta)
-		}
-		fmt.Fprintf(os.Stderr, "%-16s rows=%-5d dense=%-12v sparselu=%-12v eta=%-12v speedup=%.2fx pivot=%.0fns/%.0fns agree=%v\n",
-			r.Instance, r.Rows, time.Duration(r.DenseNs), time.Duration(r.SparseLUNs), time.Duration(r.EtaNs),
-			r.Speedup, r.PivotNs, r.EtaPivotNs, r.ObjAgree)
+		fmt.Fprintf(os.Stderr, "%-16s rows=%-5d dense=%-12v sparselu=%-12v speedup=%.2fx pivot=%.0fns agree=%v\n",
+			r.Instance, r.Rows, time.Duration(r.DenseNs), time.Duration(r.SparseLUNs),
+			r.Speedup, r.PivotNs, r.ObjAgree)
 		rep.Records = append(rep.Records, r)
 	}
 	runSpan.End()

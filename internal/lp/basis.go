@@ -6,7 +6,7 @@ import "math"
 // matrix B (columns s.basis[0..m-1] of the standardized constraint matrix,
 // including artificials). The simplex core is written against this
 // interface; denseFactor keeps an explicit inverse, luFactor keeps a sparse
-// LU factorization with product-form (eta) updates.
+// LU factorization with Forrest–Tomlin updates.
 //
 // Vector spaces: "row space" indexes original constraint rows, "position
 // space" indexes basis positions (w[i] pairs with s.basis[i]). B maps

@@ -17,8 +17,7 @@
 //   - Pricing is Dantzig (most-negative reduced cost) with an automatic
 //     switch to Bland's rule after a run of degenerate pivots, which
 //     guarantees termination; Options.Devex enables devex pricing. The dual
-//     phase prices its leaving rows with dual devex reference weights by
-//     default (Options.DualPricing).
+//     phase prices its leaving rows with dual devex reference weights.
 //   - The ratio tests — primal and dual — are Harris-style two-pass bounded
 //     tests: the first pass finds the loosest step admissible with every
 //     competing bound relaxed by the feasibility tolerance, the second takes
@@ -41,18 +40,15 @@
 // produce. The factorization is Gilbert–Peierls style: each column's
 // triangular solve visits only the earlier elimination steps its nonzeros
 // reach, so a refactorization costs time proportional to the factor's
-// nonzeros and flops rather than m² per basis. Each simplex pivot is then absorbed into the stored U in place
-// with a Forrest–Tomlin update: the entering column becomes a spike, the
-// spiked column rotates to the last triangular position, and the leaving
-// row is eliminated by a recorded row transformation — so ftran/btran stay
-// sparse triangular solves through factors whose size tracks actual fill,
-// not pivot count. Options.Update selects the strategy: ForrestTomlin (the
-// default) or EtaUpdate, the legacy product-form eta file that appends the
-// entering column's ftran per pivot and regrows without bound between
-// rebuilds.
+// nonzeros and flops rather than m² per basis. Each simplex pivot is then
+// absorbed into the stored U in place with a Forrest–Tomlin update: the
+// entering column becomes a spike, the spiked column rotates to the last
+// triangular position, and the leaving row is eliminated by a recorded row
+// transformation — so ftran/btran stay sparse triangular solves through
+// factors whose size tracks actual fill, not pivot count.
 //
 // Refactorization is scheduled adaptively, not just by the fixed
-// Options.ReinvertEvery cadence: the FT path rebuilds when U's fill grows
+// Options.ReinvertEvery cadence: SparseLU rebuilds when U's fill grows
 // past a budget tied to its post-factorization size, or when a sampled
 // ftran residual ‖B·w − a_q‖∞ drifts past tolerance — measured numerical
 // trouble, caught before it can leak into pivot decisions. An update whose
@@ -153,9 +149,8 @@
 // a load or capacity shift in a handful of pivots where the primal warm
 // path would run its bound-shifting repair phase and the cold path a full
 // phase 1. Leaving rows are ranked violation²/weight under dual devex
-// reference weights (Options.DualPricing; DualDantzig recovers the raw
-// largest-violation rule), and the entering column comes from the dual
-// Harris two-pass ratio test described above.
+// reference weights, and the entering column comes from the dual Harris
+// two-pass ratio test described above.
 //
 // Entry conditions (all must hold, else the solve falls back to the primal
 // warm path and then cold, so outcomes never change):

@@ -14,10 +14,10 @@ import "math"
 // pivots where a primal warm repair would grind through a composite
 // phase 1.
 //
-// Leaving-row selection uses dual devex weights by default
-// (Options.DualPricing): rows are ranked by violation²/weight, where the
-// reference-framework weights grow as rows participate in pivots — the dual
-// analogue of the primal devex pricing in simplex.go. Entering-column
+// Leaving-row selection uses dual devex weights: rows are ranked by
+// violation²/weight, where the reference-framework weights grow as rows
+// participate in pivots — the dual analogue of the primal devex pricing in
+// simplex.go. Entering-column
 // selection is a Harris two-pass bounded ratio test: pass 1 relaxes every
 // reduced cost by the dual tolerance to find the loosest admissible ratio,
 // pass 2 takes the largest-pivot candidate under it, trading a ≤ TolOpt
@@ -79,16 +79,12 @@ func (s *simplex) initWarmDual(b *Basis) bool {
 			}
 		}
 	}
-	if s.opts.DualPricing.resolve() == DualDevex {
-		// Fresh reference framework per install — weights describe this
-		// basis only.
-		if len(s.dualW) != s.m {
-			s.dualW = make([]float64, s.m)
-		}
-		s.resetDualDevex()
-	} else {
-		s.dualW = nil
+	// Fresh reference framework per install — weights describe this basis
+	// only.
+	if len(s.dualW) != s.m {
+		s.dualW = make([]float64, s.m)
 	}
+	s.resetDualDevex()
 	return true
 }
 
@@ -111,9 +107,9 @@ func (s *simplex) dualIterate() Status {
 			return IterLimit
 		}
 
-		// Leaving row: devex-scored bound violation (violation²/weight), raw
-		// largest violation under DualDantzig, first violation under Bland
-		// mode (guaranteeing finite termination under degeneracy).
+		// Leaving row: devex-scored bound violation (violation²/weight), or
+		// the first violation under Bland mode (guaranteeing finite
+		// termination under degeneracy).
 		r := -1
 		above := false // true when the violation is past the upper bound
 		worst := 0.0
@@ -133,11 +129,7 @@ func (s *simplex) dualIterate() Status {
 				r, above = i, up
 				break
 			}
-			score := viol
-			if s.dualW != nil {
-				score = viol * viol / s.dualW[i]
-			}
-			if score > worst {
+			if score := viol * viol / s.dualW[i]; score > worst {
 				worst, r, above = score, i, up
 			}
 		}
@@ -255,9 +247,7 @@ func (s *simplex) dualIterate() Status {
 			}
 			return Numerical
 		}
-		if s.dualW != nil {
-			s.updateDualDevex(r)
-		}
+		s.updateDualDevex(r)
 		step := delta / wr
 		for i := 0; i < s.m; i++ {
 			if wi := s.w[i]; wi != 0 {

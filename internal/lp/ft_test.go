@@ -23,7 +23,7 @@ func colOf(s *simplex, q int) []float64 {
 
 // TestFTPivotChainMatchesRefactor is the Forrest–Tomlin equivalence
 // property suite: starting from a solved basis, apply a long randomized
-// chain of basis exchanges through updateFT and verify after every accepted
+// chain of basis exchanges through update and verify after every accepted
 // update that ftran still inverts the true basis (B·(B⁻¹a_q) = a_q) and
 // btran its transpose — then refactor from scratch and check the updated
 // factors and the fresh ones solve identically. A rejected update (the FT
@@ -33,9 +33,6 @@ func TestFTPivotChainMatchesRefactor(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		s, f := solvedLU(t, rng, 12+rng.Intn(10), 20+rng.Intn(16),
 			Options{ReinvertEvery: 1 << 30})
-		if !f.ft {
-			t.Fatal("default update strategy is not Forrest–Tomlin")
-		}
 		w := make([]float64, s.m)
 		w2 := make([]float64, s.m)
 		z := make([]float64, s.m)
@@ -124,30 +121,29 @@ func TestFTPivotChainMatchesRefactor(t *testing.T) {
 	}
 }
 
-// TestFTAgreesWithEtaFile: the update strategy is a performance choice, not
-// a semantic one — Forrest–Tomlin and the legacy product-form eta file must
-// return the same statuses and objectives over randomized instances, warm
-// and cold.
-func TestFTAgreesWithEtaFile(t *testing.T) {
+// TestFTAgreesWithDense: Forrest–Tomlin updates are a performance choice,
+// not a semantic one — SparseLU must return the same statuses and
+// objectives as the Dense reference backend over randomized instances.
+func TestFTAgreesWithDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 30; trial++ {
 		p1 := randomFeasibleLP(rng, 8+rng.Intn(12), 14+rng.Intn(20))
 		p2 := cloneProblem(p1)
-		// A small reinvert cadence keeps both paths exercising updates and
+		// A small reinvert cadence keeps the FT path exercising updates and
 		// refactorizations within these small instances.
 		s1, err := p1.SolveWithOptions(Options{Backend: SparseLU, ReinvertEvery: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := p2.SolveWithOptions(Options{Backend: SparseLU, Update: EtaUpdate, ReinvertEvery: 11})
+		s2, err := p2.SolveWithOptions(Options{Backend: Dense})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s1.Status != s2.Status {
-			t.Fatalf("trial %d: status %v (ft) vs %v (eta)", trial, s1.Status, s2.Status)
+			t.Fatalf("trial %d: status %v (ft) vs %v (dense)", trial, s1.Status, s2.Status)
 		}
 		if s1.Status == Optimal && !approxEq(s1.Objective, s2.Objective, 1e-6) {
-			t.Fatalf("trial %d: obj %.10g (ft) vs %.10g (eta)", trial, s1.Objective, s2.Objective)
+			t.Fatalf("trial %d: obj %.10g (ft) vs %.10g (dense)", trial, s1.Objective, s2.Objective)
 		}
 	}
 }

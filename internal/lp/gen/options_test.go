@@ -25,21 +25,20 @@ func TestOptionCombinationsAgree(t *testing.T) {
 		}
 		for combo := 0; combo < 32; combo++ {
 			opts := lp.Options{
-				Devex:   combo&1 != 0,
-				Scale:   combo&2 != 0,
-				Backend: lp.SparseLU,
+				Devex:     combo&1 != 0,
+				Scale:     combo&2 != 0,
+				BlandOnly: combo&8 != 0,
+				Backend:   lp.SparseLU,
 			}
 			if combo&4 != 0 {
-				opts.Update = lp.EtaUpdate
-			}
-			if combo&8 != 0 {
-				opts.DualPricing = lp.DualDantzig
-			}
-			if combo&16 != 0 {
 				opts.Backend = lp.Dense
 			}
-			name := fmt.Sprintf("%s/devex=%t,scale=%t,update=%v,dual=%v,backend=%v",
-				f.name, opts.Devex, opts.Scale, opts.Update, opts.DualPricing, opts.Backend)
+			if combo&16 != 0 {
+				// A short cadence makes every solve cross many refactors.
+				opts.ReinvertEvery = 11
+			}
+			name := fmt.Sprintf("%s/devex=%t,scale=%t,bland=%t,reinvert=%d,backend=%v",
+				f.name, opts.Devex, opts.Scale, opts.BlandOnly, opts.ReinvertEvery, opts.Backend)
 			t.Run(name, func(t *testing.T) {
 				got, err := f.build(Small, 1).SolveWithOptions(opts)
 				if err != nil {

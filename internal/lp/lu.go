@@ -8,20 +8,14 @@ import (
 // luFactor is the sparse basis backend: B is factorized as P·B·Q = L·U by
 // left-looking sparse Gaussian elimination with a Markowitz-style ordering
 // (columns processed sparsest-first, threshold partial pivoting preferring
-// low-count rows). Simplex pivots are absorbed by one of two update
-// strategies (Options.Update):
-//
-//   - ForrestTomlin (default): the pivot modifies the stored U in place. The
-//     leaving column is replaced by the entering column's spike, the spiked
-//     row is cyclically rotated to the last triangular position, and its
-//     off-diagonal entries are eliminated by row operations recorded as a
-//     compact row eta. ftran/btran cost stays proportional to the factor's
-//     actual fill, and refactorization is scheduled adaptively: on measured
-//     U fill growth and on ftran residual drift sampled during the solve.
-//
-//   - EtaUpdate (legacy): each pivot appends a product-form eta term and
-//     every solve replays the whole file, refactoring at a fixed fill
-//     cutoff. Kept for differential testing.
+// low-count rows). Simplex pivots are absorbed by Forrest–Tomlin updates:
+// the pivot modifies the stored U in place. The leaving column is replaced
+// by the entering column's spike, the spiked row is cyclically rotated to
+// the last triangular position, and its off-diagonal entries are eliminated
+// by row operations recorded as a compact row eta. ftran/btran cost stays
+// proportional to the factor's actual fill, and refactorization is
+// scheduled adaptively: on measured U fill growth and on ftran residual
+// drift sampled during the solve.
 //
 // On granular allocation LPs the basis columns hold only a handful of
 // nonzeros each, so per-iteration solve time scales with factor fill rather
@@ -35,7 +29,7 @@ import (
 // the heap and the sort, and no per-column pass over all m rows or steps.
 // The column order is a counting sort; all scratch lives on the luFactor.
 //
-// Vector-space bookkeeping for the Forrest–Tomlin mode: L's elimination
+// Vector-space bookkeeping for the Forrest–Tomlin updates: L's elimination
 // steps are frozen at refactor time and double as row "handles" for U — row
 // h of the triangular system U·z = L⁻¹P·a is the output of L step h, and
 // handles keep their identity as updates reorder U's triangular structure.
@@ -43,25 +37,24 @@ import (
 // cperm maps handles to basis positions and never changes between
 // refactorizations (a replaced column keeps its position and its handle).
 type luFactor struct {
-	s  *simplex
-	m  int
-	ft bool // Forrest–Tomlin updates (default); false = product-form eta file
+	s *simplex
+	m int
 
 	// Factorization of the basis at the last refactor. Elimination step t
 	// pivots on original row pr[t] and eliminates the column at basis
 	// position cperm[t]. lcols[t] holds the below-pivot multipliers of L
 	// column t as (original row, value); the unit diagonal is implicit.
 	// ucols[h] holds the above-diagonal entries of U column h as
-	// (row handle, value); udiag[h] is the pivot. In eta mode handles and
-	// triangular steps coincide (entries sort below the diagonal step);
-	// in FT mode the triangular order lives in perm/stepOf instead.
+	// (row handle, value); udiag[h] is the pivot. Handles and triangular
+	// steps coincide right after a refactor; updates reorder the triangular
+	// order, which lives in perm/stepOf.
 	lcols [][]luEntry
 	ucols [][]luEntry
 	udiag []float64
 	pr    []int
 	cperm []int
 
-	// Forrest–Tomlin state (allocated only when ft is set). urows mirrors
+	// Forrest–Tomlin state (allocated by the first initFT). urows mirrors
 	// ucols row-wise: urows[h] holds row h's entries right of the diagonal
 	// as (column handle, value). posH inverts cperm. rowEtas records, in
 	// chronological order, the row eliminations applied to U; each is
@@ -81,10 +74,6 @@ type luFactor struct {
 	// verdict until the next refactor.
 	ftrans int
 	drift  bool
-
-	// Product-form updates since the last refactor, oldest first (eta mode).
-	etas   []etaTerm
-	etaNnz int
 
 	// Scratch: x is row-space (all zeros between calls), g and pos are
 	// handle/position-space, elim maps original row -> elimination
@@ -115,14 +104,6 @@ type luEntry struct {
 	val float64
 }
 
-// etaTerm records one product-form pivot: the entering column's ftran w,
-// split into the pivot element w[r] and the remaining nonzeros.
-type etaTerm struct {
-	r    int
-	piv  float64
-	ents []luEntry
-}
-
 // rowEta records one Forrest–Tomlin row elimination: row `target` of the
 // spiked U had each row h in ents subtracted from it with multiplier val,
 // leaving only its new diagonal.
@@ -135,8 +116,7 @@ func newLUFactor(s *simplex) *luFactor {
 	m := s.m
 	return &luFactor{
 		s: s, m: m,
-		ft: s.opts.Update.resolve() == ForrestTomlin,
-		x:  make([]float64, m), g: make([]float64, m), pos: make([]float64, m),
+		x: make([]float64, m), g: make([]float64, m), pos: make([]float64, m),
 		elim: make([]int, m),
 	}
 }
@@ -156,8 +136,6 @@ func (f *luFactor) basisCol(pos int) ([]int32, []float64) {
 
 func (f *luFactor) refactor() bool {
 	m := f.m
-	f.etas = f.etas[:0]
-	f.etaNnz = 0
 	f.rowEtas = f.rowEtas[:0]
 	f.rowEtaNnz = 0
 	f.ftrans = 0
@@ -288,9 +266,7 @@ func (f *luFactor) refactor() bool {
 		f.lcols[t] = lcol
 		f.ucols[t] = ucol
 	}
-	if f.ft {
-		f.initFT()
-	}
+	f.initFT()
 	return true
 }
 
@@ -377,10 +353,9 @@ func (f *luFactor) initFT() {
 	f.unnz0 = nnz
 }
 
-// solveLU solves B₀ x = v through L, the row etas, and U: v enters in row
-// space and leaves in position space. (In eta mode there are no row etas
-// and the product-form file is applied by the caller afterwards.)
-func (f *luFactor) solveLU(v []float64) {
+// ftranDense solves B x = v through L, the row etas, and U: v enters in row
+// space and leaves in position space.
+func (f *luFactor) ftranDense(v []float64) {
 	m := f.m
 	g := f.g
 	// Forward: L y = v. The output is handle-indexed (handles are L steps).
@@ -393,37 +368,24 @@ func (f *luFactor) solveLU(v []float64) {
 			}
 		}
 	}
-	if f.ft {
-		// Row etas in chronological order: each one replays the elimination
-		// of a spiked row on the right-hand side.
-		for i := range f.rowEtas {
-			e := &f.rowEtas[i]
-			acc := g[e.target]
-			for _, t := range e.ents {
-				acc -= t.val * g[t.idx]
-			}
-			g[e.target] = acc
+	// Row etas in chronological order: each one replays the elimination of
+	// a spiked row on the right-hand side.
+	for i := range f.rowEtas {
+		e := &f.rowEtas[i]
+		acc := g[e.target]
+		for _, t := range e.ents {
+			acc -= t.val * g[t.idx]
 		}
-		// Backward: U z = y, columns visited in reverse triangular order.
-		for ti := m - 1; ti >= 0; ti-- {
-			h := f.perm[ti]
-			zt := g[h] / f.udiag[h]
-			g[h] = zt
-			if zt != 0 {
-				for _, e := range f.ucols[h] {
-					g[e.idx] -= e.val * zt
-				}
-			}
-		}
-	} else {
-		// Backward: U z = y (column-oriented, steps ≡ handles).
-		for t := m - 1; t >= 0; t-- {
-			zt := g[t] / f.udiag[t]
-			g[t] = zt
-			if zt != 0 {
-				for _, e := range f.ucols[t] {
-					g[e.idx] -= e.val * zt
-				}
+		g[e.target] = acc
+	}
+	// Backward: U z = y, columns visited in reverse triangular order.
+	for ti := m - 1; ti >= 0; ti-- {
+		h := f.perm[ti]
+		zt := g[h] / f.udiag[h]
+		g[h] = zt
+		if zt != 0 {
+			for _, e := range f.ucols[h] {
+				g[e.idx] -= e.val * zt
 			}
 		}
 	}
@@ -434,7 +396,7 @@ func (f *luFactor) solveLU(v []float64) {
 	copy(v, f.pos)
 }
 
-// solveLUT solves B₀ᵀ y = c through Uᵀ, the transposed row etas, and Lᵀ:
+// solveLUT solves Bᵀ y = c through Uᵀ, the transposed row etas, and Lᵀ:
 // c enters in position space and leaves in row space.
 func (f *luFactor) solveLUT(c []float64) {
 	m := f.m
@@ -442,35 +404,24 @@ func (f *luFactor) solveLUT(c []float64) {
 	for t := 0; t < m; t++ {
 		g[t] = c[f.cperm[t]]
 	}
-	if f.ft {
-		// Forward: Uᵀ g' = g in triangular order.
-		for ti := 0; ti < m; ti++ {
-			h := f.perm[ti]
-			acc := g[h]
-			for _, e := range f.ucols[h] {
-				acc -= e.val * g[e.idx]
-			}
-			g[h] = acc / f.udiag[h]
+	// Forward: Uᵀ g' = g in triangular order.
+	for ti := 0; ti < m; ti++ {
+		h := f.perm[ti]
+		acc := g[h]
+		for _, e := range f.ucols[h] {
+			acc -= e.val * g[e.idx]
 		}
-		// Transposed row etas in reverse chronological order: each spreads
-		// the target component back over its eliminators.
-		for i := len(f.rowEtas) - 1; i >= 0; i-- {
-			e := &f.rowEtas[i]
-			gt := g[e.target]
-			if gt != 0 {
-				for _, t := range e.ents {
-					g[t.idx] -= t.val * gt
-				}
+		g[h] = acc / f.udiag[h]
+	}
+	// Transposed row etas in reverse chronological order: each spreads the
+	// target component back over its eliminators.
+	for i := len(f.rowEtas) - 1; i >= 0; i-- {
+		e := &f.rowEtas[i]
+		gt := g[e.target]
+		if gt != 0 {
+			for _, t := range e.ents {
+				g[t.idx] -= t.val * gt
 			}
-		}
-	} else {
-		// Forward: Uᵀ g' = g (steps ≡ handles).
-		for t := 0; t < m; t++ {
-			acc := g[t]
-			for _, e := range f.ucols[t] {
-				acc -= e.val * g[e.idx]
-			}
-			g[t] = acc / f.udiag[t]
 		}
 	}
 	// Backward: Lᵀ y = g'. L column t touches only rows pivoted later, so
@@ -484,47 +435,11 @@ func (f *luFactor) solveLUT(c []float64) {
 	}
 }
 
-// applyEtasFtran applies E_k⁻¹…E_1⁻¹ in chronological order to the
-// position-space vector v (eta mode only; the list is empty under FT).
-func (f *luFactor) applyEtasFtran(v []float64) {
-	for i := range f.etas {
-		e := &f.etas[i]
-		vr := v[e.r]
-		if vr == 0 {
-			continue
-		}
-		vr /= e.piv
-		v[e.r] = vr
-		for _, t := range e.ents {
-			v[t.idx] -= t.val * vr
-		}
-	}
-}
-
-// applyEtasBtran applies E_1⁻ᵀ…E_k⁻ᵀ in reverse chronological order to the
-// position-space vector c. Only component r changes per eta.
-func (f *luFactor) applyEtasBtran(c []float64) {
-	for i := len(f.etas) - 1; i >= 0; i-- {
-		e := &f.etas[i]
-		acc := c[e.r]
-		for _, t := range e.ents {
-			acc -= t.val * c[t.idx]
-		}
-		c[e.r] = acc / e.piv
-	}
-}
-
-func (f *luFactor) ftranDense(v []float64) {
-	f.solveLU(v)
-	f.applyEtasFtran(v)
-}
-
 func (f *luFactor) btranCost(y []float64) {
 	s := f.s
 	for i := 0; i < f.m; i++ {
 		y[i] = s.cost[s.basis[i]]
 	}
-	f.applyEtasBtran(y)
 	f.solveLUT(y)
 }
 
@@ -533,7 +448,6 @@ func (f *luFactor) btranUnit(r int, z []float64) {
 		z[i] = 0
 	}
 	z[r] = 1
-	f.applyEtasBtran(z)
 	f.solveLUT(z)
 }
 
@@ -554,7 +468,7 @@ func (f *luFactor) ftranCol(q int, w []float64) {
 		x[i] = 0
 	}
 	f.ftranDense(w)
-	if f.ft && !f.drift {
+	if !f.drift {
 		// Sampled drift measurement: every 64th column solve verifies the
 		// factorization against the actual basis by computing the true
 		// residual B·w − a_q. Exceeding the tolerance latches `drift`, and
@@ -612,26 +526,7 @@ func (f *luFactor) measureDrift(q int, w []float64) {
 	}
 }
 
-func (f *luFactor) update(leave int, w []float64) bool {
-	if f.ft {
-		return f.updateFT(leave, w)
-	}
-	piv := w[leave]
-	if math.Abs(piv) < 1e-11 {
-		return false
-	}
-	ents := make([]luEntry, 0, 8)
-	for i, v := range w {
-		if v != 0 && i != leave {
-			ents = append(ents, luEntry{int32(i), v})
-		}
-	}
-	f.etas = append(f.etas, etaTerm{r: leave, piv: piv, ents: ents})
-	f.etaNnz += len(ents) + 1
-	return true
-}
-
-// updateFT folds one pivot into the stored factors in place. The column at
+// update folds one pivot into the stored factors in place. The column at
 // handle h0 (basis position `leave`) is replaced by the entering column's
 // spike s = U·w (w already solved through the whole factorization, so U·w
 // re-expresses it in the factor's internal frame), h0 is rotated to the
@@ -640,7 +535,7 @@ func (f *luFactor) update(leave int, w []float64) bool {
 // leaving the caller to refactor from scratch, which rebuilds all state —
 // when the elimination is numerically unstable (huge multiplier) or the
 // final diagonal is negligible.
-func (f *luFactor) updateFT(leave int, w []float64) bool {
+func (f *luFactor) update(leave int, w []float64) bool {
 	m := f.m
 	h0 := f.posH[leave]
 
@@ -785,16 +680,12 @@ func removeHandle(ents []luEntry, h int) []luEntry {
 	return ents
 }
 
-// wantRefactor triggers an early refactorization. FT mode is adaptive:
-// measured ftran residual drift, or the factor's live fill (U plus the row
-// eta file) outgrowing the post-refactor baseline. Eta mode keeps the
-// legacy fixed cutoff on the product-form file. The trigger fires at most
-// once per rebuild (the callers refactor immediately), so the counters
-// book one refactor reason each.
+// wantRefactor triggers an early refactorization on measured ftran
+// residual drift, or on the factor's live fill (U plus the row eta file)
+// outgrowing the post-refactor baseline. The trigger fires at most once per
+// rebuild (the callers refactor immediately), so the counters book one
+// refactor reason each.
 func (f *luFactor) wantRefactor() bool {
-	if !f.ft {
-		return f.etaNnz > 10*f.m+1000
-	}
 	if f.drift {
 		f.s.driftRefactors++
 		f.s.opts.Obs.Instant("lp.drift-refactor", nil)

@@ -70,11 +70,11 @@ func maxAbsDiff(a, b []float64) float64 {
 
 // TestLUFtranRoundTrip: B·(B⁻¹ a_q) must reproduce a_q for structural,
 // slack, and artificial columns, through both the fresh factors and the
-// accumulated eta file.
+// accumulated Forrest–Tomlin updates.
 func TestLUFtranRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 8; trial++ {
-		// Small ReinvertEvery so the final factorization carries etas.
+		// Small ReinvertEvery so the final factorization carries updates.
 		s, f := solvedLU(t, rng, 10+rng.Intn(10), 16+rng.Intn(16), Options{ReinvertEvery: 7})
 		w := make([]float64, s.m)
 		for q := 0; q < s.ncols+s.m; q += 1 + rng.Intn(3) {
@@ -126,7 +126,7 @@ func TestLUBtranRoundTrip(t *testing.T) {
 }
 
 // TestLURefactorResidualInvariant: refactorizing must not move the basic
-// solution — the eta-composed factorization and a fresh LU agree on
+// solution — the updated factorization and a fresh LU agree on
 // x_B = B⁻¹(b - N x_N) to tight tolerance, and the refactored basis
 // reproduces the right-hand side.
 func TestLURefactorResidualInvariant(t *testing.T) {
@@ -140,8 +140,8 @@ func TestLURefactorResidualInvariant(t *testing.T) {
 		if !s.reinvert() {
 			t.Fatalf("trial %d: refactor failed on a solved basis", trial)
 		}
-		if len(f.etas) != 0 {
-			t.Fatalf("trial %d: refactor left %d etas", trial, len(f.etas))
+		if len(f.rowEtas) != 0 {
+			t.Fatalf("trial %d: refactor left %d row etas", trial, len(f.rowEtas))
 		}
 		xbAfter := make([]float64, s.m)
 		for i, j := range s.basis {
@@ -308,28 +308,25 @@ func TestLUReinvertCadenceAgrees(t *testing.T) {
 	}
 }
 
-// TestLUFillTriggersRefactor: the fill-based refactor trigger must fire in
-// both update modes once accumulated update storage outgrows its budget —
-// the eta file past its nnz cutoff, the Forrest–Tomlin U past its
-// fill-growth bound.
+// TestLUFillTriggersRefactor: the fill-based refactor trigger must fire
+// once accumulated update storage outgrows its budget — the Forrest–Tomlin
+// U plus its row etas past their fill-growth bound.
 func TestLUFillTriggersRefactor(t *testing.T) {
-	for _, upd := range []UpdateStrategy{ForrestTomlin, EtaUpdate} {
-		rng := rand.New(rand.NewSource(17))
-		s, f := solvedLU(t, rng, 8, 14, Options{Update: upd})
-		if f.wantRefactor() {
-			t.Fatalf("%v: fresh factorization already wants refactor", upd)
+	rng := rand.New(rand.NewSource(17))
+	s, f := solvedLU(t, rng, 8, 14, Options{})
+	if f.wantRefactor() {
+		t.Fatal("fresh factorization already wants refactor")
+	}
+	w := make([]float64, s.m)
+	for i := range w {
+		w[i] = 1
+	}
+	for i := 0; !f.wantRefactor(); i++ {
+		if !f.update(i%s.m, w) {
+			t.Fatal("update rejected a unit pivot")
 		}
-		w := make([]float64, s.m)
-		for i := range w {
-			w[i] = 1
-		}
-		for i := 0; !f.wantRefactor(); i++ {
-			if !f.update(i%s.m, w) {
-				t.Fatalf("%v: update rejected a unit pivot", upd)
-			}
-			if i > 100*s.m {
-				t.Fatalf("%v: fill trigger never fired", upd)
-			}
+		if i > 100*s.m {
+			t.Fatal("fill trigger never fired")
 		}
 	}
 }
@@ -339,8 +336,6 @@ func TestLUFillTriggersRefactor(t *testing.T) {
 // three times per column. refactor must reproduce its factors bit for bit.
 func (f *luFactor) refactorDenseScan() bool {
 	m := f.m
-	f.etas = f.etas[:0]
-	f.etaNnz = 0
 	f.rowEtas = f.rowEtas[:0]
 	f.rowEtaNnz = 0
 	f.ftrans = 0
@@ -435,9 +430,7 @@ func (f *luFactor) refactorDenseScan() bool {
 		f.lcols[t] = lcol
 		f.ucols[t] = ucol
 	}
-	if f.ft {
-		f.initFT()
-	}
+	f.initFT()
 	return true
 }
 
@@ -476,29 +469,26 @@ func compareRefactor(s *simplex, got *luFactor) error {
 			return fmt.Errorf("step %d: U column %v, reference %v", t, got.ucols[t], ref.ucols[t])
 		}
 	}
-	if got.ft {
-		for h := 0; h < s.m; h++ {
-			if got.perm[h] != ref.perm[h] || got.stepOf[h] != ref.stepOf[h] || got.posH[h] != ref.posH[h] ||
-				!sameEnts(got.urows[h], ref.urows[h]) {
-				return fmt.Errorf("handle %d: Forrest–Tomlin state differs from reference", h)
-			}
+	for h := 0; h < s.m; h++ {
+		if got.perm[h] != ref.perm[h] || got.stepOf[h] != ref.stepOf[h] || got.posH[h] != ref.posH[h] ||
+			!sameEnts(got.urows[h], ref.urows[h]) {
+			return fmt.Errorf("handle %d: Forrest–Tomlin state differs from reference", h)
 		}
-		if got.unnz != ref.unnz || got.unnz0 != ref.unnz0 {
-			return fmt.Errorf("U fill %d/%d, reference %d/%d", got.unnz, got.unnz0, ref.unnz, ref.unnz0)
-		}
+	}
+	if got.unnz != ref.unnz || got.unnz0 != ref.unnz0 {
+		return fmt.Errorf("U fill %d/%d, reference %d/%d", got.unnz, got.unnz0, ref.unnz, ref.unnz0)
 	}
 	return nil
 }
 
-// RefactorOracle solves p cold with SparseLU under the given update
-// strategy and, at the starting basis, after every `every` iterations and
+// RefactorOracle solves p cold with SparseLU and, at the starting basis, after every `every` iterations and
 // at the optimal basis, checks refactor against the dense-scan reference
 // with compareRefactor. One luFactor is reused across all checks, so
 // scratch left by one call would surface in the next. It returns the number
 // of bases checked. Exported for the gen-instance oracle test in package
 // lp_test (gen imports lp).
-func RefactorOracle(p *Problem, upd UpdateStrategy, every int) (int, error) {
-	s := newSimplex(p, Options{Backend: SparseLU, Update: upd})
+func RefactorOracle(p *Problem, every int) (int, error) {
+	s := newSimplex(p, Options{Backend: SparseLU})
 	got := newLUFactor(s)
 	checks := 0
 	check := func(where string) error {

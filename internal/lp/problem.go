@@ -332,9 +332,10 @@ const (
 	// the sparse backend everywhere without callers changing.
 	AutoBackend SolverBackend = iota
 	// SparseLU factorizes the basis as a sparse LU (Markowitz-ordered
-	// Gaussian elimination) and absorbs pivots as product-form eta terms.
-	// Per-iteration cost scales with basis fill rather than m². On
-	// numerical trouble the solve transparently falls back to Dense.
+	// Gaussian elimination) and absorbs pivots with Forrest–Tomlin updates
+	// of the stored U factor. Per-iteration cost scales with factor fill
+	// rather than m². On numerical trouble the solve transparently falls
+	// back to Dense.
 	SparseLU
 	// Dense maintains an explicit dense basis inverse rebuilt by
 	// Gauss-Jordan elimination: the slow but simple reference backend,
@@ -390,108 +391,6 @@ func (b SolverBackend) resolve() SolverBackend {
 	return b
 }
 
-// UpdateStrategy selects how the SparseLU backend absorbs simplex pivots
-// between refactorizations.
-type UpdateStrategy int8
-
-const (
-	// AutoUpdate resolves to the package default, ForrestTomlin. It is the
-	// zero value, so Options{} picks the in-place update everywhere.
-	AutoUpdate UpdateStrategy = iota
-	// ForrestTomlin folds each pivot into the stored U factor in place
-	// (spike column plus a row-elimination eta), keeping ftran/btran cost
-	// proportional to the factor's true fill. Updates that would be
-	// numerically unstable (tiny final diagonal, huge eliminator) are
-	// rejected and answered with a refactorization from scratch, so the
-	// strategy never changes solve outcomes.
-	ForrestTomlin
-	// EtaUpdate is the legacy product-form file: each pivot appends an eta
-	// term and solves replay the whole file. Kept for differential testing
-	// against ForrestTomlin.
-	EtaUpdate
-)
-
-func (u UpdateStrategy) String() string {
-	switch u {
-	case AutoUpdate:
-		return "auto"
-	case ForrestTomlin:
-		return "forrest-tomlin"
-	case EtaUpdate:
-		return "eta"
-	}
-	return fmt.Sprintf("UpdateStrategy(%d)", int8(u))
-}
-
-// ParseUpdate parses "auto", "forrest-tomlin" (or "ft"), or "eta".
-func ParseUpdate(s string) (UpdateStrategy, error) {
-	switch strings.ToLower(s) {
-	case "auto", "":
-		return AutoUpdate, nil
-	case "forrest-tomlin", "forresttomlin", "ft":
-		return ForrestTomlin, nil
-	case "eta", "product-form", "pfi":
-		return EtaUpdate, nil
-	}
-	return AutoUpdate, fmt.Errorf("lp: unknown update strategy %q (want auto|forrest-tomlin|eta)", s)
-}
-
-func (u UpdateStrategy) resolve() UpdateStrategy {
-	if u == AutoUpdate {
-		return ForrestTomlin
-	}
-	return u
-}
-
-// DualPricing selects the leaving-row rule of the dual simplex phase.
-type DualPricing int8
-
-const (
-	// AutoDualPricing resolves to the package default, DualDevex.
-	AutoDualPricing DualPricing = iota
-	// DualDevex ranks bound-violating basic rows by the devex score
-	// violation²/weight, the dual analogue of the primal reference
-	// framework: weights track how much each row has already been worked
-	// by recent pivots, which steers long delta chains away from repeatedly
-	// hammering the same degenerate rows and cuts dual pivot counts.
-	DualDevex
-	// DualDantzig picks the largest raw bound violation: the legacy rule,
-	// kept for differential testing.
-	DualDantzig
-)
-
-func (d DualPricing) String() string {
-	switch d {
-	case AutoDualPricing:
-		return "auto"
-	case DualDevex:
-		return "devex"
-	case DualDantzig:
-		return "dantzig"
-	}
-	return fmt.Sprintf("DualPricing(%d)", int8(d))
-}
-
-// ParseDualPricing parses "auto", "devex", or "dantzig".
-func ParseDualPricing(s string) (DualPricing, error) {
-	switch strings.ToLower(s) {
-	case "auto", "":
-		return AutoDualPricing, nil
-	case "devex":
-		return DualDevex, nil
-	case "dantzig":
-		return DualDantzig, nil
-	}
-	return AutoDualPricing, fmt.Errorf("lp: unknown dual pricing %q (want auto|devex|dantzig)", s)
-}
-
-func (d DualPricing) resolve() DualPricing {
-	if d == AutoDualPricing {
-		return DualDevex
-	}
-	return d
-}
-
 // Options tune the solver. The zero value selects sensible defaults.
 type Options struct {
 	// Backend selects the basis-factorization engine. The zero value
@@ -545,19 +444,6 @@ type Options struct {
 	// sets this automatically when only rhs/bounds changed since the
 	// basis was taken.
 	Dual bool
-	// Update selects how the SparseLU backend absorbs pivots between
-	// refactorizations. The zero value (AutoUpdate) resolves to
-	// ForrestTomlin: in-place U updates with an adaptive refactorization
-	// trigger (measured U fill growth and ftran residual drift) and
-	// automatic refactor-from-scratch on numerically unstable updates.
-	// EtaUpdate restores the legacy product-form eta file with its fixed
-	// fill cutoff. Ignored by the Dense backend.
-	Update UpdateStrategy
-	// DualPricing selects the dual simplex leaving-row rule. The zero value
-	// (AutoDualPricing) resolves to DualDevex; DualDantzig restores the raw
-	// largest-violation rule. Ignored unless the dual phase runs (Dual with
-	// WarmBasis).
-	DualPricing DualPricing
 }
 
 func (o Options) withDefaults(m, n int) Options {

@@ -53,8 +53,8 @@ type simplex struct {
 	devexW   []float64
 	devexRow []float64
 
-	// Dual devex reference weights over basis positions (nil unless the
-	// dual phase runs with devex pricing); see initWarmDual.
+	// Dual devex reference weights over basis positions (nil until the
+	// dual phase first runs); see initWarmDual.
 	dualW []float64
 
 	// Harris dual ratio test scratch: eligible entering candidates stashed
@@ -850,9 +850,9 @@ func (s *simplex) applyStep(q int, sigma, t float64) {
 }
 
 // pivot makes q basic in the `leave` row position and folds the change into
-// the basis factorization (a product-form/eta transformation in both
-// backends). It reports whether the factorization accepted the update; on
-// false the caller must refactor.
+// the basis factorization (a product-form transformation of the dense
+// inverse, a Forrest–Tomlin update of the sparse LU). It reports whether the
+// factorization accepted the update; on false the caller must refactor.
 func (s *simplex) pivot(leave, q int) bool {
 	out := s.basis[leave]
 

@@ -64,8 +64,8 @@ type EngineConfig struct {
 }
 
 // NewEngine constructs the policy-selected round engine. It is the single
-// construction path shared by popserver (both single-process and worker
-// modes) and servebench's spawned workers.
+// construction path of popserver, in both single-process and worker
+// modes.
 func NewEngine(c cluster.Cluster, cfg EngineConfig) (*EngineBundle, error) {
 	switch strings.ToLower(cfg.Policy) {
 	case "price":

@@ -89,9 +89,9 @@ type RoundRequest struct {
 }
 
 // RoundResponse is one shard's gather payload. The allocation is columnar —
-// parallel arrays instead of per-job objects — because at servebench scale
-// (a million clients) the JSON encode/decode of the gather is a first-order
-// cost and arrays are several times cheaper than an object per job.
+// parallel arrays instead of per-job objects — because at a million
+// clients the JSON encode/decode of the gather is a first-order cost and
+// arrays are several times cheaper than an object per job.
 type RoundResponse struct {
 	Round   int     `json:"round"`
 	NumJobs int     `json:"num_jobs"`

@@ -5,6 +5,12 @@
 // per pivot: the number the basis-update work lands in, independent of
 // pivot-count changes.
 //
+// Each backend runs -reps timed solves per instance, except that it stops
+// repeating on an instance once one solve has run past repBudget: the
+// dense backend on the largest TE instance takes minutes per solve, and
+// more reps of it add run time, not information. dense_reps and
+// sparselu_reps record the solves actually taken.
+//
 // Usage:
 //
 //	lpbench [-o BENCH_lp.json] [-reps 3] [-seed 1] [-trace trace.json] [-metrics]
@@ -43,6 +49,8 @@ type record struct {
 	Nonzeros   int     `json:"nonzeros"`
 	DenseNs    int64   `json:"dense_ns"`
 	SparseLUNs int64   `json:"sparselu_ns"`
+	DenseReps  int     `json:"dense_reps"`
+	SparseReps int     `json:"sparselu_reps"`
 	Speedup    float64 `json:"speedup"`
 	Objective  float64 `json:"objective"`
 	ObjAgree   bool    `json:"objectives_agree"`
@@ -60,7 +68,7 @@ type report struct {
 func main() {
 	var (
 		out      = flag.String("o", "BENCH_lp.json", "output file ('-' for stdout)")
-		reps     = flag.Int("reps", 3, "timed repetitions per backend (best is kept)")
+		reps     = flag.Int("reps", 3, "timed repetitions per backend (best is kept; fewer once one solve runs past 20s)")
 		seed     = flag.Int64("seed", 1, "instance generator seed")
 		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON of the run's solver spans")
 		metrics  = flag.Bool("metrics", false, "dump accumulated solver metrics (Prometheus text) to stderr after the run")
@@ -93,8 +101,8 @@ func main() {
 			Nonzeros: in.P.NumNonzeros(),
 		}
 		var dObj, sObj float64
-		r.DenseNs, dObj, _ = timeSolve(in.P, lp.Options{Backend: lp.Dense}, *reps)
-		r.SparseLUNs, sObj, r.Iterations = timeSolve(in.P, lp.Options{Backend: lp.SparseLU}, *reps)
+		r.DenseNs, r.DenseReps, dObj, _ = timeSolve(in.P, lp.Options{Backend: lp.Dense}, *reps)
+		r.SparseLUNs, r.SparseReps, sObj, r.Iterations = timeSolve(in.P, lp.Options{Backend: lp.SparseLU}, *reps)
 		r.Objective = sObj
 		r.ObjAgree = approxEq(dObj, sObj, 1e-6)
 		if r.SparseLUNs > 0 {
@@ -133,12 +141,17 @@ func main() {
 	}
 }
 
-// timeSolve returns the best wall time over reps solves, plus the objective
-// and iteration count for cross-checking.
-func timeSolve(p *lp.Problem, opts lp.Options, reps int) (ns int64, obj float64, iters int) {
+// repBudget is the solve time past which a backend stops repeating on an
+// instance.
+const repBudget = 20 * time.Second
+
+// timeSolve returns the best wall time over up to reps solves and the number
+// taken (fewer once a solve runs past repBudget), plus the objective and
+// iteration count for cross-checking.
+func timeSolve(p *lp.Problem, opts lp.Options, reps int) (ns int64, taken int, obj float64, iters int) {
 	opts.Obs = benchObs
 	best := int64(1<<63 - 1)
-	for i := 0; i < reps; i++ {
+	for taken < reps {
 		start := time.Now()
 		sol, err := p.SolveWithOptions(opts)
 		el := time.Since(start).Nanoseconds()
@@ -155,8 +168,12 @@ func timeSolve(p *lp.Problem, opts lp.Options, reps int) (ns int64, obj float64,
 		}
 		obj = sol.Objective
 		iters = sol.Iterations
+		taken++
+		if time.Duration(el) > repBudget {
+			break
+		}
 	}
-	return best, obj, iters
+	return best, taken, obj, iters
 }
 
 func approxEq(a, b, tol float64) bool {

@@ -29,7 +29,9 @@
 //
 // Hardening: -auth-token requires a shared bearer token on every mutating
 // endpoint (and stamps coordinator→worker calls); -quota caps per-tenant
-// (X-Pop-Tenant header) submissions per round, answering 429 beyond it;
+// (X-Pop-Tenant header) submissions per round, answering 429 beyond it
+// (whatever -quota says, the queue between rounds holds at most 1<<20
+// submissions and removals, and answers 429 past that too);
 // -state-file persists the engine's warm state (partitions, simplex bases,
 // prices) across restarts, in both single-process and worker modes.
 //

@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -191,9 +190,12 @@ type server struct {
 	// its LP sub-solves book into it through the observer installed at
 	// construction. round mirrors snap.Round atomically so the request
 	// middleware can stamp X-Pop-Round without taking mu.
-	reg    *obs.Registry
-	log    *slog.Logger
-	round  atomic.Int64
+	reg   *obs.Registry
+	log   *slog.Logger
+	round atomic.Int64
+	// ckpt persists the in-process engine's state (nil without -state-file
+	// and in coordinator mode); saving is set while its write is in flight.
+	ckpt   *shard.Checkpoint
 	saving atomic.Bool
 }
 
@@ -246,84 +248,18 @@ func newServer(c cluster.Cluster, cfg serverConfig, logger *slog.Logger) (*serve
 		return nil, err
 	}
 	s.bundle, s.eng, s.engineKind = b, b.Engine, b.Kind
-	if cfg.stateFile != "" {
-		s.restoreState()
+	s.ckpt = shard.NewCheckpoint(cfg.stateFile, b, logger, &s.saving)
+	if round, ok := s.ckpt.Restore(); ok {
+		s.snap.Round = round
+		s.round.Store(int64(round))
 	}
 	return s, nil
-}
-
-// serverState is the on-disk shape of a single-process -state-file.
-type serverState struct {
-	Round  int             `json:"round"`
-	Engine json.RawMessage `json:"engine"`
-}
-
-func (s *server) restoreState() {
-	raw, err := os.ReadFile(s.cfg.stateFile)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.log.Warn("state file unreadable; starting fresh", "file", s.cfg.stateFile, "err", err)
-		}
-		return
-	}
-	var st serverState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		s.log.Warn("state file corrupt; starting fresh", "file", s.cfg.stateFile, "err", err)
-		return
-	}
-	if err := s.bundle.Restore(st.Engine); err != nil {
-		s.log.Warn("state restore rejected; starting fresh", "file", s.cfg.stateFile, "err", err)
-		return
-	}
-	s.snap.Round = st.Round
-	s.round.Store(int64(st.Round))
-	s.log.Info("state restored", "file", s.cfg.stateFile, "round", st.Round, "jobs", s.eng.NumJobs())
-}
-
-// snapshotState marshals the engine state (caller holds engMu).
-func (s *server) snapshotState(round int) ([]byte, error) {
-	eng, err := s.bundle.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(serverState{Round: round, Engine: eng})
-}
-
-// saveStateAsync checkpoints after a round without blocking the next one:
-// the snapshot is taken synchronously (cheap struct copies, caller holds
-// engMu), the file write happens in the background, and at most one write
-// is in flight (a newer round's state supersedes, it never queues).
-func (s *server) saveStateAsync(round int) {
-	if s.cfg.stateFile == "" || s.bundle == nil || !s.saving.CompareAndSwap(false, true) {
-		return
-	}
-	st, err := s.snapshotState(round)
-	if err != nil {
-		s.saving.Store(false)
-		s.log.Warn("state snapshot failed", "err", err)
-		return
-	}
-	go func() {
-		defer s.saving.Store(false)
-		if err := shard.WriteFileAtomic(s.cfg.stateFile, st); err != nil {
-			s.log.Warn("state save failed", "err", err)
-		}
-	}()
 }
 
 // saveState synchronously persists the engine state (shutdown barrier;
 // called after drain, so no round holds the engine).
 func (s *server) saveState() error {
-	if s.cfg.stateFile == "" || s.bundle == nil {
-		return nil
-	}
-	s.engMu.Lock()
-	st, err := s.snapshotState(int(s.round.Load()))
-	s.engMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return shard.WriteFileAtomic(s.cfg.stateFile, st)
+	return s.ckpt.Save(&s.engMu, func() int { return int(s.round.Load()) })
 }
 
 func (s *server) handler() http.Handler {
@@ -480,6 +416,11 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tenant = "default"
 	}
 	s.mu.Lock()
+	if queued := len(s.pending); queued+len(jobs) > maxPending {
+		s.mu.Unlock()
+		s.rejectFull(w, queued, len(jobs))
+		return
+	}
 	if q := s.cfg.quota; q > 0 && s.tenants[tenant]+len(jobs) > q {
 		used := s.tenants[tenant]
 		s.mu.Unlock()
@@ -505,10 +446,30 @@ func (s *server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
+	if queued := len(s.pending); queued+1 > maxPending {
+		s.mu.Unlock()
+		s.rejectFull(w, queued, 1)
+		return
+	}
 	s.pending = append(s.pending, mutation{submit: nil, remove: id})
 	n := len(s.pending)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, map[string]any{"queued": true, "pending": n})
+}
+
+// maxPending caps the mutations queued between two rounds, whatever the
+// per-tenant quota says (the quota counts only submissions, and 0 leaves
+// it off). It sits far above the largest batch a client is expected to
+// send in one round (a 100k-job bulk load).
+const maxPending = 1 << 20
+
+// rejectFull answers 429 with Retry-After to n mutations that do not fit
+// behind the queued ones, and counts the rejection.
+func (s *server) rejectFull(w http.ResponseWriter, queued, n int) {
+	s.reg.Counter("pop_pending_rejections_total", "mutation requests rejected because the pending queue was full").Inc()
+	w.Header().Set("Retry-After", "1")
+	writeErr(w, http.StatusTooManyRequests,
+		"pending queue full: %d queued + %d requested > %d per round", queued, n, maxPending)
 }
 
 // maxClusterBytes caps a capacity update's body: one number per GPU type.
@@ -633,7 +594,7 @@ func (s *server) tick() (snapshot, error) {
 	queued := len(s.pending)
 	s.mu.Unlock()
 	s.round.Store(int64(snap.Round))
-	s.saveStateAsync(snap.Round)
+	s.ckpt.SaveAsync(snap.Round)
 
 	s.reg.Counter("pop_rounds_total", "completed scheduling rounds").Inc()
 	s.reg.Histogram("pop_round_seconds", "scheduling round wall time", nil).

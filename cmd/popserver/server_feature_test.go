@@ -154,6 +154,69 @@ func TestServerBatchSubmit(t *testing.T) {
 	}
 }
 
+// TestServerPendingQueueBound: with no quota set, DELETEs and batch POSTs
+// past the pending-queue cap answer 429 with Retry-After, a rejected batch
+// queues none of its specs, and the round that drains the queue makes room
+// again. The queue is pre-filled in place to just under the cap; the
+// requests that cross it go through HTTP.
+func TestServerPendingQueueBound(t *testing.T) {
+	s, ts := newTestServer(t)
+	s.mu.Lock()
+	s.pending = make([]mutation, maxPending-3)
+	for i := range s.pending {
+		s.pending[i].remove = -1 - i // removals of ids nobody holds
+	}
+	s.mu.Unlock()
+
+	do(t, "DELETE", ts.URL+"/v1/jobs/7", nil, http.StatusAccepted)
+	batch := []jobSpec{
+		{ID: 1, Throughput: []float64{1, 2, 3}},
+		{ID: 2, Throughput: []float64{1, 2, 3}},
+		{ID: 3, Throughput: []float64{1, 2, 3}},
+	}
+	out := do(t, "POST", ts.URL+"/v1/jobs", batch, http.StatusTooManyRequests) // 2 slots left
+	if msg, _ := out["error"].(string); !strings.Contains(msg, "pending queue full") {
+		t.Fatalf("429 body %v does not explain the full queue", out)
+	}
+	do(t, "POST", ts.URL+"/v1/jobs", batch[:2], http.StatusAccepted) // fills the queue
+	req, err := http.NewRequest("DELETE", ts.URL+"/v1/jobs/8", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("DELETE past the cap: status %d, Retry-After %q; want 429 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	s.mu.Lock()
+	queued := len(s.pending)
+	s.mu.Unlock()
+	if queued != maxPending {
+		t.Fatalf("queue holds %d mutations, want exactly the cap %d", queued, maxPending)
+	}
+
+	tick := do(t, "POST", ts.URL+"/v1/tick", nil, http.StatusOK)
+	if got := tick["num_jobs"].(float64); got != 2 {
+		t.Fatalf("round saw %g jobs, want the 2 accepted specs", got)
+	}
+	do(t, "POST", ts.URL+"/v1/jobs", batch[2], http.StatusAccepted)
+	do(t, "DELETE", ts.URL+"/v1/jobs/1", nil, http.StatusAccepted)
+
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if !strings.Contains(string(raw), "pop_pending_rejections_total 2") {
+		t.Fatal("metrics missing pop_pending_rejections_total 2")
+	}
+}
+
 // TestServerStateFileRestart: a server restarted with its -state-file picks
 // up at the saved round with the engine's warm state intact — the
 // single-process face of the worker snapshot machinery.

@@ -76,8 +76,10 @@
 // # Warm starts
 //
 // Every optimal solve exports a combinatorial Basis snapshot
-// (Solution.Basis); passing it back as Options.WarmBasis seeds a later
-// solve of the same or a similar problem. The warm path rebuilds primal
+// (Solution.Basis). A Model keeps its last optimal basis and seeds its next
+// solve from it; Model.SetBasis installs any other snapshot (a branch-and-
+// bound node's parent basis, or a basis from a solve of a similar
+// problem). Problem solves always start cold. The warm path rebuilds primal
 // values from the snapshot (repairing the basic count if the shape drifted),
 // refactorizes, and — when the stale basis is no longer primal feasible —
 // runs a bound-shifting phase 1: out-of-bounds columns get their bounds
@@ -155,9 +157,8 @@
 // Entry conditions (all must hold, else the solve falls back to the primal
 // warm path and then cold, so outcomes never change):
 //
-//   - Options.Dual is set alongside Options.WarmBasis. Model.Solve sets it
-//     automatically when the deltas since the stored basis are rhs/bound
-//     only; callers using Problem directly can set it by hand.
+//   - The deltas since the model's stored basis are rhs/bound only; the
+//     model classifies this itself, so callers have nothing to set.
 //   - The snapshot fits exactly: the model's shape, exactly m basic
 //     columns (a count-repaired or block-spliced basis goes primal).
 //   - The implied basis matrix factorizes, and the installed statuses

@@ -20,7 +20,7 @@ import "math"
 // simplex.go. Entering-column
 // selection is a Harris two-pass bounded ratio test: pass 1 relaxes every
 // reduced cost by the dual tolerance to find the loosest admissible ratio,
-// pass 2 takes the largest-pivot candidate under it, trading a ≤ TolOpt
+// pass 2 takes the largest-pivot candidate under it, trading a ≤ tolOpt
 // dual excursion for pivot quality on degenerate chains.
 //
 // Entry is gated by initWarmDual, which rejects (returning the caller to
@@ -58,7 +58,7 @@ func (s *simplex) initWarmDual(b *Basis) bool {
 	// perturbed only in b/l/u passes exactly; anything else that happens to
 	// pass is equally safe to pivot on.
 	s.btran()
-	tol := 10 * s.opts.TolOpt
+	tol := 10 * tolOpt
 	for j := 0; j < s.ncols; j++ {
 		if s.status[j] == statBasic || s.std.lb[j] == s.std.ub[j] {
 			continue
@@ -95,8 +95,6 @@ func (s *simplex) initWarmDual(b *Basis) bool {
 // violation — a certificate the caller re-derives through the primal path
 // rather than trusting a warm start with.
 func (s *simplex) dualIterate() Status {
-	tolP := s.opts.TolPivot
-	tolF := s.opts.TolFeas
 	if s.dualRho == nil {
 		s.dualRho = make([]float64, s.m)
 	}
@@ -116,10 +114,10 @@ func (s *simplex) dualIterate() Status {
 		for i := 0; i < s.m; i++ {
 			j := s.basis[i]
 			viol, up := 0.0, false
-			if v := s.lbOf(j) - s.x[j]; v > tolF {
+			if v := s.lbOf(j) - s.x[j]; v > tolFeas {
 				viol = v
 			}
-			if v := s.x[j] - s.ubOf(j); v > tolF && v > viol {
+			if v := s.x[j] - s.ubOf(j); v > tolFeas && v > viol {
 				viol, up = v, true
 			}
 			if viol == 0 {
@@ -157,13 +155,12 @@ func (s *simplex) dualIterate() Status {
 		// admissible ratio (each reduced cost relaxed by the dual
 		// tolerance); pass 2 picks the largest |pivot| among candidates
 		// whose exact ratio fits under it, so degenerate chains pay a
-		// ≤ TolOpt dual excursion instead of a near-zero pivot. Bland
+		// ≤ tolOpt dual excursion instead of a near-zero pivot. Bland
 		// mode keeps the strict smallest-ratio, smallest-index rule.
 		candJ := s.dualCandJ[:0]
 		candA := s.dualCandA[:0]
 		candD := s.dualCandD[:0]
 		thetaMax := math.Inf(1)
-		tolD := s.opts.TolOpt
 		for j := 0; j < s.ncols; j++ {
 			st := s.status[j]
 			if st == statBasic || s.std.lb[j] == s.std.ub[j] {
@@ -177,20 +174,20 @@ func (s *simplex) dualIterate() Status {
 			abar := alpha * vdir
 			switch st {
 			case statLower:
-				if abar <= tolP {
+				if abar <= tolPivot {
 					continue
 				}
 			case statUpper:
-				if abar >= -tolP {
+				if abar >= -tolPivot {
 					continue
 				}
 			default: // statFree
-				if abar <= tolP && abar >= -tolP {
+				if abar <= tolPivot && abar >= -tolPivot {
 					continue
 				}
 			}
 			dj := math.Abs(s.reducedCost(j))
-			if t := (dj + tolD) / math.Abs(alpha); t < thetaMax {
+			if t := (dj + tolOpt) / math.Abs(alpha); t < thetaMax {
 				thetaMax = t
 			}
 			candJ = append(candJ, int32(j))
@@ -241,7 +238,7 @@ func (s *simplex) dualIterate() Status {
 		// factorization has drifted — reinvert once, then give up.
 		s.ftran(q)
 		wr := s.w[r]
-		if math.Abs(wr) <= tolP || wr*alphaQ < 0 {
+		if math.Abs(wr) <= tolPivot || wr*alphaQ < 0 {
 			if s.tryRecover() {
 				continue
 			}
@@ -266,7 +263,7 @@ func (s *simplex) dualIterate() Status {
 
 		// Dual degeneracy (zero-ratio pivots) is where cycling lives; after
 		// a run of them, switch to Bland-style selection.
-		if bestRatio <= s.opts.TolOpt {
+		if bestRatio <= tolOpt {
 			s.degenerateRun++
 			if s.degenerateRun > 2*s.m+20 {
 				s.blandMode = true

@@ -37,7 +37,7 @@ func perturbBoundsOnly(p *Problem, rng *rand.Rand) *Problem {
 
 // TestDualResolveMatchesColdOnRHSAndBoundPerturbations is the dual simplex
 // contract: re-solving a rhs/bound-perturbed problem from the stale optimal
-// basis with Options.Dual must reproduce the cold solve's status and
+// basis through the dual simplex must reproduce the cold solve's status and
 // objective exactly (to 1e-6), and the dual path must actually engage on a
 // healthy fraction of the trials.
 func TestDualResolveMatchesColdOnRHSAndBoundPerturbations(t *testing.T) {
@@ -67,7 +67,7 @@ func TestDualResolveMatchesColdOnRHSAndBoundPerturbations(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dual, err := cloneProblem(q).SolveWithOptions(Options{Backend: backend, WarmBasis: basis, Dual: true})
+				dual, err := cloneProblem(q).SolveWithOptions(Options{Backend: backend, warmBasis: basis, dual: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,7 +107,7 @@ func TestDualUnchangedResolveIsFree(t *testing.T) {
 	if sol.Status != Optimal {
 		t.Fatalf("status %v", sol.Status)
 	}
-	re, err := cloneProblem(p).SolveWithOptions(Options{WarmBasis: sol.Basis, Dual: true})
+	re, err := cloneProblem(p).SolveWithOptions(Options{warmBasis: sol.Basis, dual: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestDualReportsInfeasibleLikeCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dual, err := q.SolveWithOptions(Options{WarmBasis: sol.Basis, Dual: true})
+		dual, err := q.SolveWithOptions(Options{warmBasis: sol.Basis, dual: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestDualRejectsStaleCostBasis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dual, err := q.SolveWithOptions(Options{WarmBasis: sol.Basis, Dual: true})
+		dual, err := q.SolveWithOptions(Options{warmBasis: sol.Basis, dual: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestDualReducesWorkOnLoadShift(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dual, err := q.SolveWithOptions(Options{WarmBasis: sol.Basis, Dual: true})
+		dual, err := q.SolveWithOptions(Options{warmBasis: sol.Basis, dual: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ import (
 // and classifies the deltas applied since that basis was taken:
 //
 //   - rhs/bound-only deltas re-solve with the dual simplex from the stale
-//     basis (Options.Dual) — the basis is still dual feasible, so a few
+//     basis — the basis is still dual feasible, so a few
 //     dual pivots replace both the build and the primal repair;
 //   - coefficient/objective deltas re-solve through the primal warm path;
 //   - structural deltas (blocks added or removed) splice the stale basis
@@ -625,22 +625,19 @@ func (m *Model) Solve() (*Solution, error) {
 }
 
 // SolveWithOptions optimizes the model's current state. When the model
-// holds a basis from a previous optimal solve and the caller did not pass
-// an explicit Options.WarmBasis, the solve is warm-started automatically:
-// through the dual simplex when only rhs/bounds changed since that basis
-// was taken, through the primal warm path otherwise. Outcomes are always
-// those of a cold solve of the current state.
+// holds a basis, from a previous optimal solve or from SetBasis, the solve
+// is warm-started automatically: through the dual simplex when only
+// rhs/bounds changed since that basis was taken, through the primal warm
+// path otherwise. Outcomes are always those of a cold solve of the current
+// state.
 func (m *Model) SolveWithOptions(opts Options) (*Solution, error) {
-	if m.p.NumVariables() == 0 {
-		return nil, fmt.Errorf("lp: model has no variables")
-	}
 	if m.std == nil || m.stdDirty {
 		sp := opts.Obs.Span("lp.standardize")
 		m.std = m.p.standardize()
 		m.stdDirty = false
 		sp.End()
 	}
-	if opts.WarmBasis == nil && m.basis != nil {
+	if m.basis != nil {
 		if m.warmHostile() {
 			// The coefficient deltas since the basis was taken rotated the
 			// optimality picture wholesale: a sampled majority of nonbasic
@@ -651,17 +648,13 @@ func (m *Model) SolveWithOptions(opts Options) (*Solution, error) {
 				"stale bases dropped by the hostile-refresh sampler").Inc()
 			m.ForgetBasis()
 		} else {
-			opts.WarmBasis = m.basis
-			opts.Dual = !m.sinceCoeff && !m.sinceStruct
+			opts.warmBasis = m.basis
+			opts.dual = !m.sinceCoeff && !m.sinceStruct
 		}
 	}
-	sol := m.run(opts)
-	if sol.Status == Numerical && (opts.Backend.resolve() != Dense || opts.WarmBasis != nil) {
-		opts.Obs.Instant("lp.dense-retry", nil)
-		opts.Backend = Dense
-		opts.WarmBasis = nil // a bad warm basis must not poison the retry
-		opts.Dual = false
-		sol = m.run(opts)
+	sol, err := solveWithRetry(m.p, opts, m.run)
+	if err != nil {
+		return nil, err
 	}
 	if sol.Status == Optimal && sol.Basis != nil {
 		// Keep a private copy: Solution.Basis belongs to the caller (node

@@ -264,11 +264,11 @@ func TestModelDualVsPrimalWarmAgreement(t *testing.T) {
 			mdl.SetRHS(r, mdl.RHS(r)*f)
 		}
 		pertP := mdl.CopyProblem()
-		dual, err := pertP.Clone().SolveWithOptions(lp.Options{WarmBasis: sol.Basis, Dual: true})
+		dual, err := lp.SolveFromBasis(pertP.Clone(), sol.Basis, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		primal, err := pertP.Clone().SolveWithOptions(lp.Options{WarmBasis: sol.Basis})
+		primal, err := lp.SolveFromBasis(pertP.Clone(), sol.Basis, false)
 		if err != nil {
 			t.Fatal(err)
 		}

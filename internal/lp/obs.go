@@ -21,7 +21,7 @@ func (s *simplex) bookSolve(o *obs.Observer, sol *Solution, dur time.Duration) {
 	o.Counter("pop_lp_fill_refactors_total", "refactorizations triggered by U fill growth").Add(int64(s.fillRefactors))
 	if sol.WarmStarted {
 		o.Counter("pop_lp_warm_solves_total", "solves that started from a warm basis").Inc()
-	} else if s.opts.WarmBasis != nil {
+	} else if s.opts.warmBasis != nil {
 		o.Counter("pop_lp_cold_fallbacks_total", "warm starts rejected in favour of a cold phase 1").Inc()
 	}
 	if s.fellBack {

@@ -309,15 +309,15 @@ type Solution struct {
 	ReducedCost []float64
 	Iterations  int // total simplex pivots across both phases
 	// Basis is the final basis snapshot (optimal solves only), suitable for
-	// warm-starting a later solve via Options.WarmBasis.
+	// warm-starting a later solve via Model.SetBasis.
 	Basis *Basis
-	// WarmStarted reports whether the solve actually started from
-	// Options.WarmBasis; false means the snapshot was rejected (dimension
+	// WarmStarted reports whether the solve actually started from the
+	// model's warm basis; false means the snapshot was rejected (dimension
 	// mismatch, singular, or unrepairably infeasible) and the solver ran a
 	// cold phase 1 instead.
 	WarmStarted bool
-	// DualPivots counts the pivots taken by the dual simplex phase
-	// (Options.Dual); zero when the primal path ran. A successful dual
+	// DualPivots counts the pivots taken by the dual simplex phase of a
+	// Model re-solve; zero when the primal path ran. A successful dual
 	// re-solve typically shows a handful of DualPivots and near-zero
 	// remaining primal Iterations beyond them.
 	DualPivots int
@@ -398,12 +398,6 @@ type Options struct {
 	Backend SolverBackend
 	// MaxIters bounds total pivots; 0 means 50·(m+n)+10000.
 	MaxIters int
-	// TolFeas is the primal feasibility tolerance (default 1e-7).
-	TolFeas float64
-	// TolOpt is the dual feasibility (reduced-cost) tolerance (default 1e-7).
-	TolOpt float64
-	// TolPivot is the smallest acceptable pivot magnitude (default 1e-8).
-	TolPivot float64
 	// ReinvertEvery rebuilds the basis inverse after this many pivots
 	// (default 512). Rebuilds also happen on detected drift.
 	ReinvertEvery int
@@ -419,45 +413,43 @@ type Options struct {
 	// cost and typically cuts iteration counts substantially on the
 	// allocation LPs in this repository.
 	Devex bool
-	// WarmBasis optionally seeds the solve from a basis snapshot, typically
-	// Solution.Basis of a previous solve of a similar problem. A snapshot
-	// that no longer fits (wrong dimensions, singular, or unrepairably
-	// infeasible after the data changed) is silently discarded in favour of
-	// a cold phase 1, so warm starts never change the solve outcome — only
-	// its speed. Works with both backends.
-	WarmBasis *Basis
 	// Obs, when non-nil, receives per-solve telemetry: phase spans
 	// (standardize, factor, refactor, phase1, phase2, dual, warm-repair),
 	// warm-path instants (cold-fallback, dual-reject), and solve-level
 	// counters/histograms. The nil default costs one pointer check per
 	// hook site. See internal/obs.
 	Obs *obs.Observer
-	// Dual attempts a dual simplex re-solve from WarmBasis before the
-	// primal warm path: the snapshot's statuses are installed, and if they
-	// are still dual feasible (which an optimal basis remains under
+
+	// warmBasis optionally seeds the solve from a basis snapshot; Model
+	// fills it from its stored basis (see Model.SolveWithOptions and
+	// SetBasis). A snapshot that no longer fits (wrong dimensions, singular,
+	// or unrepairably infeasible after the data changed) is silently
+	// discarded in favour of a cold phase 1, so warm starts never change the
+	// solve outcome — only its speed.
+	warmBasis *Basis
+	// dual attempts a dual simplex re-solve from warmBasis before the primal
+	// warm path: the snapshot's statuses are installed, and if they are
+	// still dual feasible (which an optimal basis remains under
 	// rhs/bound-only perturbations), dual pivots drive the out-of-bounds
 	// basics home in a handful of iterations instead of a primal repair
-	// phase. A start that is dual infeasible, or a dual phase that fails
-	// (iteration limit, numerical trouble, apparent infeasibility), falls
-	// back to the primal warm path and then cold, so enabling Dual never
-	// changes the solve outcome. Ignored without WarmBasis. Model.Solve
-	// sets this automatically when only rhs/bounds changed since the
-	// basis was taken.
-	Dual bool
+	// phase. A start that is dual infeasible, or a dual phase that fails,
+	// falls back to the primal warm path and then cold, so dual never
+	// changes the solve outcome. Model sets it when only rhs/bounds changed
+	// since its basis was taken.
+	dual bool
 }
+
+// Solver tolerances. They are typed so that expressions over them round
+// exactly as the same arithmetic on float64 variables would.
+const (
+	tolFeas  float64 = 1e-7 // primal feasibility
+	tolOpt   float64 = 1e-7 // dual feasibility (reduced cost)
+	tolPivot float64 = 1e-8 // smallest acceptable pivot magnitude
+)
 
 func (o Options) withDefaults(m, n int) Options {
 	if o.MaxIters == 0 {
 		o.MaxIters = 50*(m+n) + 10000
-	}
-	if o.TolFeas == 0 {
-		o.TolFeas = 1e-7
-	}
-	if o.TolOpt == 0 {
-		o.TolOpt = 1e-7
-	}
-	if o.TolPivot == 0 {
-		o.TolPivot = 1e-8
 	}
 	if o.ReinvertEvery == 0 {
 		o.ReinvertEvery = 512
@@ -474,24 +466,28 @@ func (p *Problem) Solve() (*Solution, error) {
 // for malformed models; solver outcomes (infeasible, unbounded, ...) are
 // reported through Solution.Status.
 func (p *Problem) SolveWithOptions(opts Options) (*Solution, error) {
+	return solveWithRetry(p, opts, func(o Options) *Solution { return newSimplex(p, o).solve() })
+}
+
+// solveWithRetry is the one solve policy of Problem and Model: it refuses a
+// model without variables, runs one simplex attempt, and applies the last
+// line of the SparseLU fallback policy. If the sparse backend (or its
+// mid-solve dense fallback) still ended in numerical failure, it re-solves
+// once from scratch with the dense backend, whose pivot sequence differs
+// enough to escape most bad factorizations. A warm-started dense solve
+// gets the same one retry (cold), so a stale basis can never change the
+// solve outcome.
+func solveWithRetry(p *Problem, opts Options, run func(Options) *Solution) (*Solution, error) {
 	if len(p.obj) == 0 {
 		return nil, fmt.Errorf("lp: model has no variables")
 	}
-	s := newSimplex(p, opts)
-	sol := s.solve()
-	// Last line of the SparseLU fallback policy: if the sparse backend (or
-	// its mid-solve dense fallback) still ended in numerical failure,
-	// re-solve once from scratch with the dense backend, whose pivot
-	// sequence differs enough to escape most bad factorizations. A
-	// warm-started dense solve gets the same one retry (cold), so a stale
-	// basis can never change the solve outcome.
-	if sol.Status == Numerical && (s.backend != Dense || opts.WarmBasis != nil) {
+	sol := run(opts)
+	if sol.Status == Numerical && (opts.Backend.resolve() != Dense || opts.warmBasis != nil) {
 		opts.Obs.Instant("lp.dense-retry", nil)
 		opts.Backend = Dense
-		opts.WarmBasis = nil // a bad warm basis must not poison the retry
-		opts.Dual = false
-		s = newSimplex(p, opts)
-		sol = s.solve()
+		opts.warmBasis = nil // a bad warm basis must not poison the retry
+		opts.dual = false
+		sol = run(opts)
 	}
 	return sol, nil
 }

@@ -147,9 +147,9 @@ func (s *simplex) solveInner() *Solution {
 	if s.m == 0 {
 		return s.solveUnconstrained()
 	}
-	if s.opts.WarmBasis != nil && s.opts.Dual {
+	if s.opts.warmBasis != nil && s.opts.dual {
 		sp := s.opts.Obs.Span("lp.dual")
-		if s.initWarmDual(s.opts.WarmBasis) {
+		if s.initWarmDual(s.opts.warmBasis) {
 			if st := s.dualIterate(); st == Optimal {
 				s.warmStarted = true
 				s.dualPivots = s.iters
@@ -168,9 +168,9 @@ func (s *simplex) solveInner() *Solution {
 			s.opts.Obs.Instant("lp.dual-reject", nil)
 		}
 	}
-	if !s.warmStarted && s.opts.WarmBasis != nil {
+	if !s.warmStarted && s.opts.warmBasis != nil {
 		sp := s.opts.Obs.Span("lp.warm-repair")
-		s.warmStarted = s.initWarm(s.opts.WarmBasis)
+		s.warmStarted = s.initWarm(s.opts.warmBasis)
 		sp.Arg("accepted", s.warmStarted).End()
 		if !s.warmStarted {
 			// The cold fallback must behave exactly as if no warm basis had
@@ -233,7 +233,7 @@ func (s *simplex) runPhase1() Status {
 	if st := s.iterate(); st == IterLimit || st == Numerical {
 		return st
 	}
-	if s.phase1Objective() > 1e2*s.opts.TolFeas*float64(1+s.m) {
+	if s.phase1Objective() > 1e2*tolFeas*float64(1+s.m) {
 		return Infeasible
 	}
 	return Optimal
@@ -433,7 +433,7 @@ func (s *simplex) resetDualDevex() {
 // constraints, in which case phase 1 is skipped.
 func (s *simplex) initialFeasible() bool {
 	for i := 0; i < s.m; i++ {
-		if s.x[s.artStart+i] > s.opts.TolFeas {
+		if s.x[s.artStart+i] > tolFeas {
 			return false
 		}
 	}
@@ -484,7 +484,7 @@ func (s *simplex) iterate() Status {
 			return Unbounded
 		}
 
-		if tmax < s.opts.TolFeas {
+		if tmax < tolFeas {
 			s.degenerateRun++
 			if s.degenerateRun > 2*s.m+20 {
 				s.blandMode = true
@@ -559,11 +559,10 @@ func (s *simplex) reducedCost(j int) float64 {
 
 // price selects the entering column, returning (-1, 0) at optimality. Only
 // structural and slack columns are eligible; artificials never re-enter.
-// Eligibility is always judged on the raw reduced cost against TolOpt;
+// Eligibility is always judged on the raw reduced cost against tolOpt;
 // ranking among eligible columns uses Dantzig (largest violation) or, with
 // opts.Devex, the devex score d²/w.
 func (s *simplex) price() (int, float64) {
-	tol := s.opts.TolOpt
 	best := -1
 	bestScore := math.Inf(-1)
 	var bestD float64
@@ -585,7 +584,7 @@ func (s *simplex) price() (int, float64) {
 		case statFree:
 			viol = math.Abs(d)
 		}
-		if viol <= tol {
+		if viol <= tolOpt {
 			continue
 		}
 		if s.blandMode {
@@ -668,21 +667,19 @@ func (s *simplex) ftran(q int) {
 // largest step every basic variable tolerates with its bound relaxed by the
 // feasibility tolerance; pass 2 picks, among the rows whose exact ratio
 // fits under that relaxed step, the one with the largest pivot magnitude.
-// Degenerate vertices thus cost a tiny (≤ tolF) bound excursion instead of
+// Degenerate vertices thus cost a tiny (≤ tolFeas) bound excursion instead of
 // a tiny pivot, which is where eta/FT update instability is born. Bland
 // mode keeps the strict smallest-ratio test for its termination guarantee.
 func (s *simplex) ratioTest(q int, sigma float64) (leave int, tmax float64, flip bool) {
 	if s.blandMode {
 		return s.ratioTestBland(q, sigma)
 	}
-	tolP := s.opts.TolPivot
-	tolF := s.opts.TolFeas
 
 	// Pass 1: relaxed step bound.
 	thetaR := math.Inf(1)
 	for i := 0; i < s.m; i++ {
 		wi := s.w[i] * sigma
-		if math.Abs(wi) <= tolP {
+		if math.Abs(wi) <= tolPivot {
 			continue
 		}
 		bcol := s.basis[i]
@@ -693,13 +690,13 @@ func (s *simplex) ratioTest(q int, sigma float64) (leave int, tmax float64, flip
 			if math.IsInf(lb, -1) {
 				continue
 			}
-			t = (xb - lb + tolF) / wi
+			t = (xb - lb + tolFeas) / wi
 		} else {
 			ub := s.ubOf(bcol)
 			if math.IsInf(ub, 1) {
 				continue
 			}
-			t = (ub - xb + tolF) / (-wi)
+			t = (ub - xb + tolFeas) / (-wi)
 		}
 		if t < 0 {
 			t = 0
@@ -725,7 +722,7 @@ func (s *simplex) ratioTest(q int, sigma float64) (leave int, tmax float64, flip
 	for i := 0; i < s.m; i++ {
 		wi := s.w[i] * sigma
 		awi := math.Abs(wi)
-		if awi <= tolP || awi <= bestPiv {
+		if awi <= tolPivot || awi <= bestPiv {
 			continue
 		}
 		bcol := s.basis[i]
@@ -766,8 +763,6 @@ func (s *simplex) ratioTest(q int, sigma float64) (leave int, tmax float64, flip
 // ratio wins, with Bland's smallest-index tie-break under blandMode —
 // the finite-termination anchor the Harris test falls back to.
 func (s *simplex) ratioTestBland(q int, sigma float64) (leave int, tmax float64, flip bool) {
-	tolP := s.opts.TolPivot
-	tolF := s.opts.TolFeas
 	tmax = math.Inf(1)
 	leave = -1
 
@@ -780,7 +775,7 @@ func (s *simplex) ratioTestBland(q int, sigma float64) (leave int, tmax float64,
 
 	for i := 0; i < s.m; i++ {
 		wi := s.w[i] * sigma
-		if math.Abs(wi) <= tolP {
+		if math.Abs(wi) <= tolPivot {
 			continue
 		}
 		bcol := s.basis[i]
@@ -792,14 +787,14 @@ func (s *simplex) ratioTestBland(q int, sigma float64) (leave int, tmax float64,
 			if math.IsInf(lb, -1) {
 				continue
 			}
-			t = (xb - lb + tolF) / wi
+			t = (xb - lb + tolFeas) / wi
 		} else {
 			// Basic variable increases toward its upper bound.
 			ub := s.ubOf(bcol)
 			if math.IsInf(ub, 1) {
 				continue
 			}
-			t = (ub - xb + tolF) / (-wi)
+			t = (ub - xb + tolFeas) / (-wi)
 		}
 		if t < 0 {
 			t = 0
@@ -808,7 +803,7 @@ func (s *simplex) ratioTestBland(q int, sigma float64) (leave int, tmax float64,
 			tmax = t
 			leave = i
 			flip = false
-		} else if s.blandMode && leave >= 0 && !flip && t <= tmax+tolF && s.basis[i] < s.basis[leave] {
+		} else if s.blandMode && leave >= 0 && !flip && t <= tmax+tolFeas && s.basis[i] < s.basis[leave] {
 			// Bland tie-break: among (near-)ties prefer the smallest column
 			// index, which guarantees finite termination under degeneracy.
 			leave = i

@@ -20,9 +20,9 @@ const (
 // Basis is a combinatorial snapshot of a simplex basis: one status per
 // structural variable and one per constraint (for the row's slack). It is
 // the warm-start currency of the solver — Solution.Basis from one solve can
-// be passed as Options.WarmBasis to a later solve of the same or a similar
-// problem (perturbed costs, bounds, or right-hand sides; the dimensions
-// must match for the basis to be used directly).
+// be installed with Model.SetBasis to seed a later solve of the same or a
+// similar problem (perturbed costs, bounds, or right-hand sides; the
+// dimensions must match for the basis to be used directly).
 //
 // A Basis carries no numeric values, so it remains valid across arbitrary
 // coefficient changes; the solver recomputes primal values from the basis
@@ -121,7 +121,7 @@ func (s *simplex) initWarm(b *Basis) bool {
 	if !s.installBasis(b) {
 		return false
 	}
-	if s.maxBoundViolation() <= 10*s.opts.TolFeas {
+	if s.maxBoundViolation() <= 10*tolFeas {
 		return true
 	}
 	return s.warmRepair()
@@ -272,7 +272,6 @@ func (s *simplex) maxBoundViolation() float64 {
 // up (cold fallback) when a pass stops making progress.
 func (s *simplex) warmRepair() bool {
 	const maxPasses = 8
-	tol := s.opts.TolFeas
 	type savedBound struct {
 		j      int
 		lb, ub float64
@@ -285,10 +284,10 @@ func (s *simplex) warmRepair() bool {
 			if math.IsNaN(s.x[j]) || math.IsInf(s.x[j], 0) {
 				return false // nonfinite state is beyond repair: cold restart
 			}
-			if v := s.std.lb[j] - s.x[j]; v > tol {
+			if v := s.std.lb[j] - s.x[j]; v > tolFeas {
 				viol += v
 				count++
-			} else if v := s.x[j] - s.std.ub[j]; v > tol {
+			} else if v := s.x[j] - s.std.ub[j]; v > tolFeas {
 				viol += v
 				count++
 			}
@@ -307,12 +306,12 @@ func (s *simplex) warmRepair() bool {
 			s.cost[j] = 0
 			lb, ub := s.std.lb[j], s.std.ub[j]
 			switch {
-			case s.x[j] < lb-tol:
+			case s.x[j] < lb-tolFeas:
 				sv = append(sv, savedBound{j, lb, ub})
 				s.std.lb[j] = s.x[j]
 				s.std.ub[j] = lb
 				s.cost[j] = -1
-			case s.x[j] > ub+tol:
+			case s.x[j] > ub+tolFeas:
 				sv = append(sv, savedBound{j, lb, ub})
 				s.std.lb[j] = ub
 				s.std.ub[j] = s.x[j]
@@ -334,10 +333,10 @@ func (s *simplex) warmRepair() bool {
 			}
 			x := s.x[e.j]
 			switch {
-			case math.Abs(x-e.lb) <= tol*(1+math.Abs(e.lb)):
+			case math.Abs(x-e.lb) <= tolFeas*(1+math.Abs(e.lb)):
 				s.x[e.j] = e.lb
 				s.status[e.j] = statLower
-			case math.Abs(x-e.ub) <= tol*(1+math.Abs(e.ub)):
+			case math.Abs(x-e.ub) <= tolFeas*(1+math.Abs(e.ub)):
 				s.x[e.j] = e.ub
 				s.status[e.j] = statUpper
 			case x < e.lb:

@@ -55,7 +55,7 @@ func TestWarmStartMatchesColdAcrossPerturbations(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					warm, err := cloneProblem(cur).SolveWithOptions(Options{Backend: backend, WarmBasis: basis})
+					warm, err := cloneProblem(cur).SolveWithOptions(Options{Backend: backend, warmBasis: basis})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -98,7 +98,7 @@ func TestWarmStartIdenticalResolve(t *testing.T) {
 		if sol.Status != Optimal {
 			continue
 		}
-		re, err := cloneProblem(p).SolveWithOptions(Options{WarmBasis: sol.Basis})
+		re, err := cloneProblem(p).SolveWithOptions(Options{warmBasis: sol.Basis})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestWarmStartRejectsBadSnapshots(t *testing.T) {
 
 	for name, b := range cases {
 		for _, backend := range []SolverBackend{Dense, SparseLU} {
-			sol, err := cloneProblem(p).SolveWithOptions(Options{Backend: backend, WarmBasis: b})
+			sol, err := cloneProblem(p).SolveWithOptions(Options{Backend: backend, warmBasis: b})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, backend, err)
 			}
@@ -187,7 +187,7 @@ func TestWarmStartWithScalingAndDevex(t *testing.T) {
 					t.Fatal(err)
 				}
 				wopts := opts
-				wopts.WarmBasis = sol.Basis
+				wopts.warmBasis = sol.Basis
 				warm, err := cloneProblem(q).SolveWithOptions(wopts)
 				if err != nil {
 					t.Fatal(err)
@@ -219,7 +219,7 @@ func TestWarmStartInfeasibleProblem(t *testing.T) {
 	q := NewProblem(Minimize)
 	x = q.AddVariable(1, 0, 10, "x")
 	q.AddConstraint([]int{x}, []float64{1}, GE, 50, "")
-	re, err := q.SolveWithOptions(Options{WarmBasis: sol.Basis})
+	re, err := q.SolveWithOptions(Options{warmBasis: sol.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestWarmStartReducesIterations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := cloneProblem(cur).SolveWithOptions(Options{WarmBasis: basis})
+			warm, err := cloneProblem(cur).SolveWithOptions(Options{warmBasis: basis})
 			if err != nil {
 				t.Fatal(err)
 			}

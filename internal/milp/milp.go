@@ -118,8 +118,6 @@ type Options struct {
 	RelGap float64
 	// AbsGap stops when bound-incumbent falls below it; 0 means 1e-9.
 	AbsGap float64
-	// IntTol is the integrality tolerance; 0 means 1e-6.
-	IntTol float64
 	// Incumbent optionally warm-starts the search with a known feasible
 	// point (e.g. from a domain heuristic); it is validated before use and
 	// lets the search prune aggressively from the first node.
@@ -145,6 +143,10 @@ type Options struct {
 	Obs *obs.Observer
 }
 
+// intTol is the integrality tolerance: a value within it of an integer
+// counts as integral.
+const intTol float64 = 1e-6
+
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -157,9 +159,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.AbsGap == 0 {
 		o.AbsGap = 1e-9
-	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
 	}
 	return o
 }

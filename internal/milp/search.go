@@ -258,7 +258,7 @@ func (s *search) finishNode(w *worker, n *node, sol *lp.Solution) {
 		s.pc.observe(n.pcVar, n.pcUp, n.pcDist, math.Max(0, n.bound-obj))
 	}
 	n.bound = obj
-	v, f := s.pc.selectBranch(s.intVars, sol.X, s.opts.IntTol)
+	v, f := s.pc.selectBranch(s.intVars, sol.X, intTol)
 	if v < 0 {
 		// Integer feasible.
 		if obj > s.incumbentObj {
@@ -495,7 +495,7 @@ func (s *search) tryIncumbent() {
 		return
 	}
 	for _, v := range s.intVars {
-		if math.Abs(x[v]-math.Round(x[v])) > s.opts.IntTol {
+		if math.Abs(x[v]-math.Round(x[v])) > intTol {
 			return
 		}
 	}

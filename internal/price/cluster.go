@@ -13,7 +13,7 @@ type ClusterPolicy int8
 
 const (
 	// MaxMinFairness approximates the heterogeneity-aware least-attained-
-	// service policy through an alpha-fair utility (Options.Alpha) over the
+	// service policy through an alpha-fair utility (maxMinAlpha) over the
 	// normalized throughput ratios.
 	MaxMinFairness ClusterPolicy = iota
 	// ProportionalFairness is the §4.1 sum-of-logs policy, solved exactly
@@ -418,21 +418,13 @@ func solveAllocation(policy ClusterPolicy, jobs []cluster.Job, c cluster.Cluster
 // row-major time fractions, the effective throughputs and the solution.
 func solveColumns(policy ClusterPolicy, jobs []cluster.Job, c cluster.Cluster, opts Options) (x, eff []float64, sol *Solution, err error) {
 	var d *clusterDomain
+	step := defaultStep
 	if policy == ProportionalFairness {
 		d = newPropFairDomain(jobs, c)
 	} else {
-		if opts.Alpha == 0 {
-			opts.Alpha = 32
-		}
-		if opts.Step == 0 {
-			// Alpha-fair demand elasticity is 1/α, so an unset step scales
-			// with Alpha to keep the effective price motion constant across
-			// exponents.
-			opts.Step = opts.Alpha / 12
-		}
-		d = newMaxMinDomain(jobs, c, opts.Alpha)
+		d, step = newMaxMinDomain(jobs, c, maxMinAlpha), maxMinStep
 	}
-	if sol, err = Solve(d, opts); err != nil {
+	if sol, err = solve(d, opts, step); err != nil {
 		return nil, nil, nil, err
 	}
 	x, eff = clusterColumns(jobs, c, sol)

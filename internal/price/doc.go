@@ -17,11 +17,11 @@
 //
 //	p_i ← clamp(p_i · exp(η_t · clip((demand_i − cap_i)/cap_i, ±1)))
 //
-// with a diminishing step η_t = Step/√(t0+t). Multiplicative updates keep
-// prices positive and let them traverse orders of magnitude in few
+// with a diminishing step η_t = η/√(t0+t), η = 0.5. Multiplicative updates
+// keep prices positive and let them traverse orders of magnitude in few
 // iterations — necessary because low-elasticity utilities (the alpha-fair
-// max-min approximation, Options.Alpha default 32, with Step scaled as
-// Alpha/12 to hold the effective price motion constant across exponents)
+// max-min approximation, α = 32, with η scaled to α/12 to hold the
+// effective price motion constant across exponents)
 // need large price swings to move demand: at equilibrium their marginal
 // utilities scale as u^-α, so clearing prices legitimately sit many orders
 // of magnitude above the demand-seeded cold start. Prices are therefore
@@ -53,7 +53,7 @@
 // # Clearing tolerance
 //
 // Convergence is declared when the averaged market's complementarity
-// residual falls below Options.Tol (default 1%): the worst relative
+// residual falls below 1% (after at least 4 iterations): the worst relative
 // overdemand, or on underdemanded resources the relative idle capacity
 // weighted by price/(price+p0) — idle capacity only violates clearing
 // while its price remains meaningfully above the cold-start scale p0.
@@ -65,25 +65,24 @@
 //
 // # Warm-start contract
 //
-// Solution.Price from one solve may be passed as Options.WarmPrice to a
-// later solve of a similar market. A warm start changes the starting
-// point and the step schedule (t0 = 100, so corrective steps start small
-// enough not to kick near-equilibrium prices into oscillation),
-// never the clearing criterion: warm and cold runs converge to the same
-// tolerance against the same market, differing only in iterations spent.
-// A WarmPrice of the wrong shape or with non-positive entries is ignored
-// (cold start), never an error. The online engines carry prices across
-// rounds automatically and drop them — mirroring lp.Model's warm-hostile
-// basis drop — when membership churn (arrivals + departures, relative to
-// the client count) reaches EngineOptions.ColdChurnFrac (default ¼);
-// capacity changes rescale carried prices instead of dropping them. Data
-// jitter on surviving clients never drops prices: absorbing it is the
-// warm start's job, and on low-churn rounds warm prices cut
-// iterations-to-clearing by an order of magnitude.
+// The online engines seed each solve from the previous round's
+// Solution.Price, the final prices of a solve of a similar market. A warm
+// start changes the starting point and the step schedule (t0 = 100, so
+// corrective steps start small enough not to kick near-equilibrium prices
+// into oscillation), never the clearing criterion: warm and cold runs
+// converge to the same tolerance against the same market, differing only
+// in iterations spent. A carried vector of the wrong shape or with
+// non-positive entries is ignored (cold start), never an error. The
+// engines drop carried prices — mirroring lp.Model's warm-hostile basis
+// drop — when membership churn (arrivals + departures, relative to the
+// client count) reaches ¼; capacity changes rescale carried prices instead
+// of dropping them. Data jitter on surviving clients never drops prices:
+// absorbing it is the warm start's job, and on low-churn rounds warm prices
+// cut iterations-to-clearing by an order of magnitude.
 //
 // # Determinism
 //
-// Given identical inputs, Options.Seed, and WarmPrice, Solve's output is
+// Given identical inputs, Options.Seed, and carried prices, a solve's output is
 // bit-identical regardless of Options.Parallel or GOMAXPROCS: chunked
 // reduction fixes the summation order, cold-start jitter derives from the
 // seed, and best responses are pure functions.

@@ -12,28 +12,34 @@ import (
 
 // EngineOptions configure an online price engine.
 type EngineOptions struct {
-	// Solver tunes the per-round price solve. Solver.WarmPrice is managed
-	// by the engine; Solver.Obs also receives the engine's round telemetry
+	// Solver tunes the per-round price solve. The engine supplies the
+	// carried prices; Solver.Obs also receives the engine's round telemetry
 	// ("price.round" spans, round counters, round-latency histograms).
 	Solver Options
-	// ColdChurnFrac is the membership-churn fraction (arrivals plus
-	// departures relative to the post-diff client count) at or above which
-	// a round drops the carried prices and solves cold — the price-engine
-	// mirror of lp.Model's warm-hostile basis drop. 0 means 0.25. Data
-	// changes on surviving clients never trigger the drop: absorbing them
-	// is what the warm start is for.
-	ColdChurnFrac float64
 	// NoWarmPrice disables price carrying entirely; every round solves
 	// cold. Used for the cold baseline in benchmarks and the warm-vs-cold
 	// property tests.
 	NoWarmPrice bool
 }
 
-func (o EngineOptions) coldChurnFrac() float64 {
-	if o.ColdChurnFrac == 0 {
-		return 0.25
+// coldChurnFrac is the membership-churn fraction (arrivals plus departures
+// relative to the post-diff client count) at or above which a round drops
+// the carried prices and solves cold — the price-engine mirror of lp.Model's
+// warm-hostile basis drop. Data changes on surviving clients never trigger
+// the drop: absorbing them is what the warm start is for.
+const coldChurnFrac float64 = 0.25
+
+// solverOptions assembles a round's solve options over clients clients and
+// resources resources, deciding warm vs cold from the carried prices and
+// the membership churn since the last solve.
+func (o EngineOptions) solverOptions(price []float64, havePrice bool, churn, clients, resources int) (Options, bool) {
+	so := o.Solver
+	warm := havePrice && !o.NoWarmPrice && len(price) == resources &&
+		float64(churn) < coldChurnFrac*float64(max(clients, 1))
+	if warm {
+		so.warmPrice = price
 	}
-	return o.ColdChurnFrac
+	return so, warm
 }
 
 // Stats counts a price engine's work since creation. The JSON tags fix the
@@ -173,7 +179,7 @@ func (e *ClusterEngine) Solve(pool cluster.Cluster) (*cluster.Columns, error) {
 	start := time.Now()
 
 	e.SetCluster(pool)
-	so, warm := e.solverOptions(len(jobs), e.c.NumTypes())
+	so, warm := e.opts.solverOptions(e.price, e.havePrice, e.churn, len(jobs), e.c.NumTypes())
 	x, eff, sol, err := solveColumns(e.policy, jobs, e.c, so)
 	if err != nil {
 		return nil, err
@@ -203,20 +209,6 @@ func (e *ClusterEngine) Policy() func(jobs []cluster.Job, c cluster.Cluster) (*c
 		}
 		return cols.For(jobs), nil
 	}
-}
-
-// solverOptions assembles the round's solve options, deciding warm vs cold
-// from the membership churn accumulated since the last solve.
-func (e *ClusterEngine) solverOptions(clients, resources int) (Options, bool) {
-	so := e.opts.Solver
-	warm := e.havePrice && !e.opts.NoWarmPrice && len(e.price) == resources &&
-		float64(e.churn) < e.opts.coldChurnFrac()*float64(max(clients, 1))
-	if warm {
-		so.WarmPrice = e.price
-	} else {
-		so.WarmPrice = nil
-	}
-	return so, warm
 }
 
 func bookRound(st *Stats, o *obs.Observer, sol *Solution, warm bool, start time.Time) {
@@ -318,14 +310,7 @@ func (e *LBEngine) Step(inst *lb.Instance) (*lb.Assignment, error) {
 		}
 	}
 
-	so := e.opts.Solver
-	warm := e.havePrice && !e.opts.NoWarmPrice && len(e.price) == len(inst.Servers) &&
-		float64(e.churn) < e.opts.coldChurnFrac()*float64(max(len(inst.Shards), 1))
-	if warm {
-		so.WarmPrice = e.price
-	} else {
-		so.WarmPrice = nil
-	}
+	so, warm := e.opts.solverOptions(e.price, e.havePrice, e.churn, len(inst.Shards), len(inst.Servers))
 	a, sol, err := SolveLB(inst, so)
 	if err != nil {
 		return nil, err

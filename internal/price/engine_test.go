@@ -10,7 +10,7 @@ import (
 
 // stepRounds plays a low-churn round sequence against an engine: each round
 // replaces a couple of jobs and jitters one weight, the membership churn
-// staying well under ColdChurnFrac.
+// staying well under the cold-churn fraction (coldChurnFrac).
 func stepRounds(t *testing.T, e *ClusterEngine, c cluster.Cluster, rounds int) []float64 {
 	t.Helper()
 	jobs := cluster.GenerateJobs(160, 21, 0.3)

@@ -95,49 +95,48 @@ type scaleElastic interface {
 type Options struct {
 	// MaxIters bounds price-update iterations; 0 means 1200.
 	MaxIters int
-	// MinIters is the minimum iteration count before convergence may be
-	// declared (guards against a lucky first-iterate residual); 0 means 4.
-	MinIters int
-	// Tol is the clearing tolerance: the solve stops once the averaged
-	// market's complementarity residual falls below it; 0 means 0.01.
-	Tol float64
-	// Step is the initial multiplicative price-update step; 0 means 0.5.
-	Step float64
-	// Alpha is the alpha-fair utility exponent used by the max-min cluster
-	// adapter (larger approximates max-min more closely but conditions the
-	// best responses worse); 0 means 32.
-	Alpha float64
 	// Seed fixes the deterministic cold-price jitter. Identical inputs,
-	// Seed, and WarmPrice produce bit-identical output regardless of
+	// Seed, and carried prices produce bit-identical output regardless of
 	// Parallel.
 	Seed int64
 	// Parallel fans best responses out over core.ParallelMap.
 	Parallel bool
-	// WarmPrice, when non-nil with one finite positive entry per resource,
-	// replaces the cold price seed — the cross-round warm start. A vector
-	// of the wrong shape is ignored (cold start), never an error.
-	WarmPrice []float64
 	// Obs, when non-nil, receives a "price.solve" span with per-iteration
 	// "price.bestresponse" children, iteration counters, and the clearing
 	// residual gauge. Nil costs one pointer check per use.
 	Obs *obs.Observer
+
+	// warmPrice, when non-nil with one finite positive entry per resource,
+	// replaces the cold price seed — the cross-round warm start the engines
+	// fill from their carried prices. A vector of the wrong shape is ignored
+	// (cold start), never an error.
+	warmPrice []float64
 }
+
+// The solve's fixed tuning. The float constants are typed so that
+// expressions over them round exactly as float64 arithmetic would.
+const (
+	// minIters is the minimum iteration count before convergence may be
+	// declared (guards against a lucky first-iterate residual).
+	minIters = 4
+	// clearTol is the clearing tolerance: the solve stops once the averaged
+	// market's complementarity residual falls below it.
+	clearTol float64 = 0.01
+	// defaultStep is the initial multiplicative price-update step.
+	defaultStep float64 = 0.5
+	// maxMinAlpha is the alpha-fair utility exponent of the max-min cluster
+	// market (larger approximates max-min more closely but conditions the
+	// best responses worse).
+	maxMinAlpha float64 = 32
+	// maxMinStep is the max-min market's initial step. Alpha-fair demand
+	// elasticity is 1/α, so the step scales with α to keep the effective
+	// price motion constant across exponents.
+	maxMinStep = maxMinAlpha / 12
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxIters == 0 {
 		o.MaxIters = 1200
-	}
-	if o.MinIters == 0 {
-		o.MinIters = 4
-	}
-	if o.Tol == 0 {
-		o.Tol = 0.01
-	}
-	if o.Step == 0 {
-		o.Step = 0.5
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 32
 	}
 	return o
 }
@@ -152,9 +151,10 @@ type Solution struct {
 	Iterations int
 	// Residual is the clearing residual of the averaged market at exit.
 	Residual float64
-	// Converged reports whether Residual reached Tol within MaxIters.
+	// Converged reports whether Residual reached the clearing tolerance
+	// within MaxIters.
 	Converged bool
-	// WarmStarted reports whether the solve started from WarmPrice.
+	// WarmStarted reports whether the solve started from carried prices.
 	WarmStarted bool
 
 	n, r   int
@@ -183,9 +183,14 @@ func (s *Solution) AggregateDemand() []float64 {
 // iterate into a polynomially weighted running average, and moves every
 // price multiplicatively against its relative excess demand with a
 // diminishing step. The averaged market's complementarity residual is the
-// clearing measure; the solve stops when it reaches Tol or MaxIters runs
-// out (Converged reports which).
+// clearing measure; the solve stops when it reaches the clearing tolerance
+// (1%) or MaxIters runs out (Converged reports which).
 func Solve(d Domain, opts Options) (*Solution, error) {
+	return solve(d, opts, defaultStep)
+}
+
+// solve is Solve with the market's initial price-update step.
+func solve(d Domain, opts Options, step float64) (*Solution, error) {
 	opts = opts.withDefaults()
 	n, r := d.Dims()
 	if n < 0 || r <= 0 {
@@ -212,9 +217,9 @@ func Solve(d Domain, opts Options) (*Solution, error) {
 	}
 
 	price := make([]float64, r)
-	warm := len(opts.WarmPrice) == r
+	warm := len(opts.warmPrice) == r
 	if warm {
-		for _, p := range opts.WarmPrice {
+		for _, p := range opts.warmPrice {
 			if !(p > 0) || math.IsInf(p, 0) {
 				warm = false
 				break
@@ -222,7 +227,7 @@ func Solve(d Domain, opts Options) (*Solution, error) {
 		}
 	}
 	if warm {
-		copy(price, opts.WarmPrice)
+		copy(price, opts.warmPrice)
 	} else {
 		// Deterministic per-seed jitter breaks exact price ties between
 		// resources, which would otherwise make pair best responses
@@ -319,7 +324,7 @@ func Solve(d Domain, opts Options) (*Solution, error) {
 		}
 
 		resid = clearingResidual(avgDemand, capacity, price, p0)
-		if t >= opts.MinIters && resid <= opts.Tol {
+		if t >= minIters && resid <= clearTol {
 			converged = true
 			break
 		}
@@ -361,7 +366,7 @@ func Solve(d Domain, opts Options) (*Solution, error) {
 
 		// Multiplicative tâtonnement on the instantaneous market: price_i
 		// moves by exp(η_t · clip(relative excess demand)), η_t diminishing.
-		eta := opts.Step / math.Sqrt(t0+float64(t))
+		eta := step / math.Sqrt(t0+float64(t))
 		for i := range price {
 			z := (demand[i] - capacity[i]) / math.Max(capacity[i], capFloor)
 			if z > 1 {

@@ -111,7 +111,7 @@ func TestWarmPriceCutsIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, warm, err := SolveMaxMin(perturbed, c, Options{Seed: 5, WarmPrice: cold.Price})
+	_, warm, err := SolveMaxMin(perturbed, c, Options{Seed: 5, warmPrice: cold.Price})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +137,12 @@ func TestWarmPriceWrongShapeIgnored(t *testing.T) {
 		{1, 2, math.NaN()},  // NaN
 		{1, math.Inf(1), 2}, // infinite
 	} {
-		_, sol, err := SolveMaxMin(jobs, c, Options{Seed: 3, WarmPrice: bad, MaxIters: 50})
+		_, sol, err := SolveMaxMin(jobs, c, Options{Seed: 3, warmPrice: bad, MaxIters: 50})
 		if err != nil {
-			t.Fatalf("WarmPrice %v: %v", bad, err)
+			t.Fatalf("warm price %v: %v", bad, err)
 		}
 		if sol.WarmStarted {
-			t.Errorf("WarmPrice %v should be ignored, not warm-start", bad)
+			t.Errorf("warm price %v should be ignored, not warm-start", bad)
 		}
 	}
 }

@@ -290,9 +290,6 @@ type PDOptions struct {
 	MaxIters int
 	// Step is the initial subgradient step size; 0 means 1.
 	Step float64
-	// Seed is reserved for randomized variants (unused; kept for API
-	// stability).
-	Seed int64
 }
 
 // SolvePriceDiscovery runs dual subgradient ascent with ergodic primal

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,7 +41,8 @@ type Worker struct {
 	mu        sync.Mutex
 	lastRound int
 
-	saving atomic.Bool
+	ckpt   *Checkpoint
+	saving atomic.Bool // a checkpoint write is in flight
 }
 
 // NewWorker wraps an engine bundle in the shard protocol. If a state file
@@ -55,8 +54,9 @@ func NewWorker(b *EngineBundle, opts WorkerOptions) *Worker {
 		opts.Log = slog.New(slog.DiscardHandler)
 	}
 	w := &Worker{b: b, opts: opts, log: opts.Log}
-	if opts.StateFile != "" {
-		w.restoreState()
+	w.ckpt = NewCheckpoint(opts.StateFile, b, opts.Log, &w.saving)
+	if round, ok := w.ckpt.Restore(); ok {
+		w.lastRound = round
 	}
 	return w
 }
@@ -132,7 +132,7 @@ func (w *Worker) handleRound(rw http.ResponseWriter, r *http.Request) {
 	}
 	w.log.Debug("shard round", "round", req.Round, "jobs", resp.NumJobs,
 		"upserts", len(req.Upserts), "removes", len(req.Removes), "solve_ms", resp.SolveMs)
-	w.saveStateAsync()
+	w.ckpt.SaveAsync(w.lastRound)
 	writeJSON(rw, http.StatusOK, resp)
 }
 
@@ -190,100 +190,13 @@ func (w *Worker) handleHealth(rw http.ResponseWriter, _ *http.Request) {
 	writeJSON(rw, http.StatusOK, resp)
 }
 
-// workerState is the on-disk shape of a worker's -state-file.
-type workerState struct {
-	LastRound int             `json:"last_round"`
-	Engine    json.RawMessage `json:"engine"`
-}
-
 // SaveState synchronously persists the engine snapshot (graceful shutdown).
 func (w *Worker) SaveState() error {
-	if w.opts.StateFile == "" {
-		return nil
-	}
-	w.mu.Lock()
-	st, err := w.snapshotLocked()
-	w.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return WriteFileAtomic(w.opts.StateFile, st)
-}
-
-func (w *Worker) snapshotLocked() ([]byte, error) {
-	eng, err := w.b.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(workerState{LastRound: w.lastRound, Engine: eng})
-}
-
-// saveStateAsync snapshots under the held lock (cheap struct copies) and
-// writes in the background, skipping when a write is already in flight —
-// a best-effort checkpoint, with SaveState as the synchronous barrier.
-func (w *Worker) saveStateAsync() {
-	if w.opts.StateFile == "" || !w.saving.CompareAndSwap(false, true) {
-		return
-	}
-	st, err := w.snapshotLocked()
-	if err != nil {
-		w.saving.Store(false)
-		w.log.Warn("state snapshot failed", "err", err)
-		return
-	}
-	go func() {
-		defer w.saving.Store(false)
-		if err := WriteFileAtomic(w.opts.StateFile, st); err != nil {
-			w.log.Warn("state save failed", "err", err)
-		}
-	}()
-}
-
-func (w *Worker) restoreState() {
-	raw, err := os.ReadFile(w.opts.StateFile)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			w.log.Warn("state file unreadable; starting fresh", "file", w.opts.StateFile, "err", err)
-		}
-		return
-	}
-	var st workerState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		w.log.Warn("state file corrupt; starting fresh", "file", w.opts.StateFile, "err", err)
-		return
-	}
-	if err := w.b.Restore(st.Engine); err != nil {
-		w.log.Warn("state restore rejected; starting fresh", "file", w.opts.StateFile, "err", err)
-		return
-	}
-	w.lastRound = st.LastRound
-	w.log.Info("state restored", "file", w.opts.StateFile,
-		"round", st.LastRound, "jobs", w.b.Engine.NumJobs())
+	return w.ckpt.Save(&w.mu, func() int { return w.lastRound })
 }
 
 func (w *Worker) obsCounter(name, help string) *obs.Counter {
 	return w.opts.Obs.Counter(name, help)
-}
-
-// WriteFileAtomic replaces path with data through a temporary file in the
-// same directory and a rename, so a crash never leaves a torn state file.
-func WriteFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".state-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return os.Rename(name, path)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
